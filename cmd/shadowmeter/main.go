@@ -2,6 +2,13 @@
 // the simulated Internet and prints the complete report: every table and
 // figure of the paper, regenerated from honeypot and traceroute evidence.
 //
+// Every run of the main experiment is a campaign of -trials independent
+// worlds through the trial runner; a default run is a campaign of one
+// whose report is rendered from that one trial. Stdout carries exactly
+// one document: the telemetry export under -metrics-json, else the
+// aggregate batch JSON for -trials > 1 or -out, else the report JSON
+// under -json-stats, else the rendered report.
+//
 // Usage:
 //
 //	shadowmeter [-seed N] [-scale small|medium|full] [-intercepted N]
@@ -10,6 +17,7 @@
 //	            [-phase1-only] [-json-stats] [-cold-topology]
 //	            [-metrics] [-metrics-json] [-progress N]
 //	            [-watch ADDR] [-occupancy-json PATH] [-flight-dir DIR]
+//	shadowmeter -mitigations [-seed N]
 package main
 
 import (
@@ -39,7 +47,6 @@ type options struct {
 	out           string
 	shard         string
 	resume        bool
-	phase1Only    bool
 	jsonStats     bool
 	metrics       bool
 	metricsJSON   bool
@@ -50,16 +57,6 @@ type options struct {
 	flightDir     string
 }
 
-// batch reports whether the run goes through the multi-trial campaign
-// runner. -out forces batch mode even for one trial: a persisted trial
-// is a campaign of size one, with batch (aggregate JSON) output.
-func (o options) batch() bool { return o.trials > 1 || o.out != "" }
-
-// validate enforces the flag-interaction contract. Batch stdout carries
-// exactly one document — the aggregate batch JSON, or with -metrics-json
-// the merged telemetry export — so flags that would smuggle a second
-// document (or silently do nothing) are rejected rather than defined
-// by accident.
 // parseShard parses a -shard value "i/N" into a shard index and count.
 // The geometry must be well-formed here; whether it matches an existing
 // store is checked against the manifest when the store opens.
@@ -82,6 +79,10 @@ func parseShard(s string) (index, count int, err error) {
 	return index, count, nil
 }
 
+// validate enforces the flag-interaction contract: flags that need a
+// campaign store, the mitigation study's separate pipeline, and the one
+// stdout document per run. A flag whose meaning would be void is
+// rejected rather than silently ignored.
 func (o options) validate() error {
 	if o.shard != "" {
 		_, count, err := parseShard(o.shard)
@@ -110,28 +111,9 @@ func (o options) validate() error {
 		}
 		return nil // remaining rules govern the main experiment
 	}
-	if o.batch() {
-		if o.phase1Only {
-			return fmt.Errorf("-phase1-only is incompatible with batch mode (-trials > 1 or -out): stored and aggregated trials always run both phases")
-		}
-		if o.jsonStats {
-			return fmt.Errorf("-json-stats is incompatible with batch mode (-trials > 1 or -out): batch stdout already carries the aggregate batch JSON; use -metrics-json for the merged telemetry export")
-		}
-		if o.metrics {
-			return fmt.Errorf("-metrics is incompatible with batch mode (-trials > 1 or -out): per-trial telemetry is merged; use -metrics-json for the merged export")
-		}
-		return nil
-	}
-	// The observability plane rides beside the campaign runner; single
-	// runs have nothing for it to observe.
-	if o.watch != "" {
-		return fmt.Errorf("-watch requires batch mode (-trials > 1 or -out): the observability plane watches a campaign")
-	}
-	if o.occupancyJSON != "" {
-		return fmt.Errorf("-occupancy-json requires batch mode (-trials > 1 or -out): occupancy is a property of the worker pool")
-	}
-	if o.flightDir != "" {
-		return fmt.Errorf("-flight-dir requires batch mode (-trials > 1 or -out): the flight recorder rides on the campaign monitor")
+	// An aggregated or resumed trial has no single report to print.
+	if o.jsonStats && (o.trials > 1 || o.out != "") {
+		return fmt.Errorf("-json-stats is incompatible with -trials > 1 and -out: stdout already carries the aggregate batch JSON; use -metrics-json for the merged telemetry export")
 	}
 	return nil
 }
@@ -147,23 +129,22 @@ func main() {
 		shard       = flag.String("shard", "", "run only slice i/N of the trial plan into the -out shard store (e.g. 0/2 and 1/2 partition the plan; fold with `shadowstore merge`)")
 		resume      = flag.Bool("resume", false, "serve trials already stored in the -out campaign instead of re-running them (byte-identical output)")
 		compact     = flag.Bool("compact", false, "compact the -out campaign log after the batch: newest record per trial, dead bytes dropped")
-		phase1Only  = flag.Bool("phase1-only", false, "stop after the Phase I landscape (skip tracerouting)")
-		jsonStats   = flag.Bool("json-stats", false, "append machine-readable summary statistics as JSON (single runs only)")
+		phase1Only  = flag.Bool("phase1-only", false, "stop every trial after the Phase I landscape (skip tracerouting)")
+		jsonStats   = flag.Bool("json-stats", false, "print the report as machine-readable JSON instead of rendering it (not with -trials > 1 or -out)")
 		mitigations = flag.Bool("mitigations", false, "run the encryption mitigation study (ECH, DoH) instead of the main experiment")
-		metrics     = flag.Bool("metrics", false, "append the telemetry summary table to stderr after the report (single runs only)")
-		metricsJSON = flag.Bool("metrics-json", false, "print ONLY the telemetry export as JSON on stdout; in batch mode, the merged per-trial export (byte-identical for identical seeds)")
-		progressN   = flag.Int64("progress", 0, "single run: report progress to stderr every N simulation events; batch: any N > 0 prints one stderr line per completed trial (0 disables)")
+		metrics     = flag.Bool("metrics", false, "print the telemetry summary table, merged across trials, to stderr after stdout")
+		metricsJSON = flag.Bool("metrics-json", false, "print ONLY the telemetry export, merged across trials, as JSON on stdout (byte-identical for identical seeds)")
+		progressN   = flag.Int64("progress", 0, "any N > 0 prints one stderr line per completed trial, with an ETA (0 disables)")
 		coldTopo    = flag.Bool("cold-topology", false, "rebuild the topology from scratch for every trial instead of sharing a blueprint (output must be byte-identical either way)")
-		watchAddr   = flag.String("watch", "", "serve the live observability plane on ADDR (/healthz, /campaign, /progress, /metrics, /debug/pprof); batch mode only, provably inert")
-		occJSON     = flag.String("occupancy-json", "", "write the worker-occupancy report (busy/idle/merge-wait per worker, trial wall-time histogram) to PATH after the batch")
-		flightDir   = flag.String("flight-dir", "", "flight-recorder dump directory for panicking or slow trials (default: the -out campaign directory)")
+		watchAddr   = flag.String("watch", "", "serve the live observability plane on ADDR (/healthz, /campaign, /progress, /metrics, /debug/pprof); provably inert")
+		occJSON     = flag.String("occupancy-json", "", "write the worker-occupancy report (busy/idle/merge-wait per worker, trial wall-time histogram) to PATH after the run")
+		flightDir   = flag.String("flight-dir", "", "flight-recorder dump directory for panicking or slow trials (default: the -out campaign directory, else none)")
 	)
 	flag.Parse()
 
 	opts := options{
-		trials: *trials, out: *out, shard: *shard, resume: *resume, compact: *compact,
-		phase1Only: *phase1Only, jsonStats: *jsonStats,
-		metrics: *metrics, metricsJSON: *metricsJSON,
+		trials: max(*trials, 1), out: *out, shard: *shard, resume: *resume, compact: *compact,
+		jsonStats: *jsonStats, metrics: *metrics, metricsJSON: *metricsJSON,
 		mitigations: *mitigations,
 		watch:       *watchAddr, occupancyJSON: *occJSON, flightDir: *flightDir,
 	}
@@ -177,7 +158,7 @@ func main() {
 		return
 	}
 
-	cfg := core.Config{Seed: *seed, InterceptedVPASes: *intercepted}
+	cfg := core.Config{Seed: *seed, InterceptedVPASes: *intercepted, Phase1Only: *phase1Only}
 	switch *scale {
 	case "small":
 		cfg.Scale = core.ScaleSmall
@@ -189,88 +170,25 @@ func main() {
 		log.Fatalf("unknown scale %q (want small, medium or full)", *scale)
 	}
 
-	if opts.batch() {
-		shardIndex, shardCount := 0, 0
-		if *shard != "" {
-			// validate already vetted the geometry; re-parse for the values.
-			shardIndex, shardCount, _ = parseShard(*shard)
-		}
-		runBatch(batchParams{
-			trials: *trials, workers: *workers, baseSeed: *seed,
-			cfg: cfg, scaleName: *scale,
-			shardIndex: shardIndex, shardCount: shardCount,
-			metricsJSON: *metricsJSON, outDir: *out, resume: *resume, compact: *compact,
-			coldTopo:  *coldTopo,
-			watchAddr: *watchAddr, occupancyPath: *occJSON,
-			flightDir: *flightDir, progress: *progressN > 0,
-		})
-		return
+	shardIndex, shardCount := 0, 0
+	if *shard != "" {
+		// validate already vetted the geometry; re-parse for the values.
+		shardIndex, shardCount, _ = parseShard(*shard)
 	}
-
-	started := time.Now()
-	e := core.NewExperiment(cfg)
-	fmt.Fprintf(os.Stderr, "world built: %d VPs after screening, %d DNS destinations, %d web sites (%.1fs)\n",
-		len(e.World.Platform.VPs), len(e.World.DNSDests), len(e.World.Web.Sites), time.Since(started).Seconds())
-
-	if *progressN > 0 {
-		// Progress is event-count paced (deterministic points); only this
-		// sink reads the wall clock, and only onto stderr.
-		prog := e.Telemetry().Progress
-		prog.Every = *progressN
-		prog.Sink = func(u telemetry.Update) {
-			fmt.Fprintf(os.Stderr, "progress: phase=%-8s events=%-12d pending=%-8d virtual=%s wall=%.1fs\n",
-				u.Phase, u.Events, u.Pending, u.Virtual.Format(time.RFC3339), time.Since(started).Seconds())
-		}
-	}
-
-	e.ScreenPairResolvers()
-	fmt.Fprintf(os.Stderr, "pair-resolver screening: %d tested, %d removed\n",
-		e.PairReport.Tested, e.PairReport.Removed)
-
-	t1 := time.Now()
-	e.RunPhaseI()
-	fmt.Fprintf(os.Stderr, "phase I complete: %d unsolicited events (%.1fs)\n",
-		len(e.EventsPhaseI), time.Since(t1).Seconds())
-
-	if !*phase1Only {
-		t2 := time.Now()
-		e.RunPhaseII()
-		fmt.Fprintf(os.Stderr, "phase II complete: %d sweeps analyzed (%.1fs)\n",
-			len(e.SweepResults), time.Since(t2).Seconds())
-	}
-
-	report := e.Compile()
-	if *metricsJSON {
-		// Stdout carries ONLY the telemetry export: piping two same-seed
-		// runs through diff is the documented determinism check.
-		os.Stdout.Write(e.Telemetry().ExportJSON())
-		fmt.Fprintf(os.Stderr, "total wall time: %.1fs\n", time.Since(started).Seconds())
-		return
-	}
-	if *jsonStats {
-		// Machine-readable reproduction artifact.
-		out, err := report.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(out)
-		fmt.Println()
-		if *metrics {
-			e.Telemetry().WriteText(os.Stderr)
-		}
-		fmt.Fprintf(os.Stderr, "total wall time: %.1fs\n", time.Since(started).Seconds())
-		return
-	}
-	fmt.Println(report.Render())
-	if *metrics {
-		e.Telemetry().WriteText(os.Stderr)
-	}
+	runCampaign(campaignParams{
+		options: opts,
+		workers: *workers, baseSeed: *seed,
+		cfg: cfg, scaleName: *scale,
+		shardIndex: shardIndex, shardCount: shardCount,
+		coldTopo: *coldTopo, progress: *progressN > 0,
+	})
 }
 
-// batchParams bundles everything a campaign run needs; the flag surface
-// grew past the point where a positional parameter list stays readable.
-type batchParams struct {
-	trials   int
+// campaignParams bundles everything a campaign run needs; the flag
+// surface grew past the point where a positional parameter list stays
+// readable.
+type campaignParams struct {
+	options
 	workers  int
 	baseSeed int64
 	cfg      core.Config
@@ -278,30 +196,20 @@ type batchParams struct {
 	scaleName string
 	// shardIndex/shardCount select slice shardIndex/shardCount of the
 	// trial plan (shardCount 0 = unsharded: the whole plan).
-	shardIndex  int
-	shardCount  int
-	metricsJSON bool
-	outDir      string
-	resume      bool
-	compact     bool
-	coldTopo    bool
-	// watchAddr, when non-empty, serves the observability plane there.
-	watchAddr string
-	// occupancyPath, when non-empty, receives the worker-occupancy JSON.
-	occupancyPath string
-	// flightDir overrides the flight-recorder directory (default outDir).
-	flightDir string
+	shardIndex int
+	shardCount int
+	coldTopo   bool
 	// progress prints one stderr line per completed trial.
 	progress bool
 }
 
 // observed reports whether the run needs a campaign monitor. A plain
-// unpersisted batch stays monitor-free — the check.sh watch-on/off diff
-// compares a genuinely bare pipeline against a fully observed one — but
+// unpersisted run stays monitor-free — the check.sh watch-on/off diffs
+// compare a genuinely bare pipeline against a fully observed one — but
 // a persisted campaign (-out) always gets one, so a panicking trial
 // leaves a flight dump beside the store it interrupted.
-func (p batchParams) observed() bool {
-	return p.watchAddr != "" || p.occupancyPath != "" || p.flightDir != "" || p.progress || p.outDir != ""
+func (p campaignParams) observed() bool {
+	return p.watch != "" || p.occupancyJSON != "" || p.flightDir != "" || p.progress || p.out != ""
 }
 
 // stalledCheckInterval paces the in-flight slow-trial watchdog. The
@@ -309,8 +217,10 @@ func (p batchParams) observed() bool {
 // concern (and the simclock analyzer holds internal packages to that).
 const stalledCheckInterval = 2 * time.Second
 
-// runBatch executes a multi-trial campaign and prints the aggregate
-// batch JSON (per-trial headlines + cross-trial mean/min/max). With
+// runCampaign executes the campaign and prints its one stdout document.
+// A one-trial campaign without -out prints that trial's report (or, with
+// -json-stats, its JSON); any other campaign prints the aggregate batch
+// JSON (per-trial headlines + cross-trial mean/min/max). With
 // -metrics-json, stdout instead carries only the merged telemetry
 // export, diffable against other runs of the same seeds. With -out,
 // every completed trial is durably persisted as it finishes; with
@@ -321,7 +231,7 @@ const stalledCheckInterval = 2 * time.Second
 // flight recorder) attaches a Monitor to the runner; the monitor only
 // ever sees copies and snapshots, so stdout stays byte-identical with
 // the plane on or off.
-func runBatch(p batchParams) {
+func runCampaign(p campaignParams) {
 	started := time.Now()
 	rcfg := runner.Config{Trials: p.trials, Workers: p.workers, BaseSeed: p.baseSeed, Core: p.cfg, ColdTopology: p.coldTopo}
 	span := runner.Slice{From: 0, To: p.trials}
@@ -329,9 +239,13 @@ func runBatch(p batchParams) {
 		span = runner.ShardSlice(p.trials, p.shardIndex, p.shardCount)
 		rcfg.Slice = span
 	}
+	var report *core.Report
+	if !p.metricsJSON && p.trials == 1 && p.out == "" {
+		rcfg.OnReport = func(_ int, r *core.Report) { report = r }
+	}
 
 	var st *runstore.Store
-	if p.outDir != "" {
+	if p.out != "" {
 		man := runstore.Manifest{
 			Version:    runstore.StoreVersion,
 			ConfigHash: runner.CampaignHash(p.cfg),
@@ -342,15 +256,15 @@ func runBatch(p batchParams) {
 			ShardCount: p.shardCount,
 		}
 		var err error
-		st, err = runstore.OpenOrCreate(p.outDir, man, telemetry.NewSet())
+		st, err = runstore.OpenOrCreate(p.out, man, telemetry.NewSet())
 		if err != nil {
 			log.Fatalf("opening campaign store: %v", err)
 		}
 		if !p.resume && st.Len() > 0 {
-			log.Fatalf("campaign %s already holds %d trial records; pass -resume to continue it or point -out at a fresh directory", p.outDir, st.Len())
+			log.Fatalf("campaign %s already holds %d trial records; pass -resume to continue it or point -out at a fresh directory", p.out, st.Len())
 		}
 		if n := st.Stats().TornTailTruncations; n > 0 {
-			fmt.Fprintf(os.Stderr, "store %s: truncated %d torn tail record(s) left by an interrupted run\n", p.outDir, n)
+			fmt.Fprintf(os.Stderr, "store %s: truncated %d torn tail record(s) left by an interrupted run\n", p.out, n)
 		}
 		rcfg.Store, rcfg.Resume = st, p.resume
 	}
@@ -361,7 +275,7 @@ func runBatch(p batchParams) {
 	if p.observed() {
 		flightDir := p.flightDir
 		if flightDir == "" {
-			flightDir = p.outDir // panics in a persisted campaign leave evidence beside it
+			flightDir = p.out // panics in a persisted campaign leave evidence beside it
 		}
 		bus := telemetry.NewBus(time.Now, 0)
 		mon = runner.NewMonitor(runner.MonitorOptions{
@@ -372,10 +286,10 @@ func runBatch(p batchParams) {
 		})
 		rcfg.Monitor = mon
 
-		if p.watchAddr != "" {
-			ln, err := net.Listen("tcp", p.watchAddr)
+		if p.watch != "" {
+			ln, err := net.Listen("tcp", p.watch)
 			if err != nil {
-				log.Fatalf("-watch %s: %v", p.watchAddr, err)
+				log.Fatalf("-watch %s: %v", p.watch, err)
 			}
 			// check.sh and operators parse this line for the resolved port.
 			fmt.Fprintf(os.Stderr, "watch: serving on http://%s\n", ln.Addr())
@@ -451,13 +365,13 @@ func runBatch(p batchParams) {
 		if err := mon.FlightErr(); err != nil {
 			fmt.Fprintf(os.Stderr, "watch: flight recorder: %v\n", err)
 		}
-		if p.occupancyPath != "" {
+		if p.occupancyJSON != "" {
 			b, err := mon.OccupancyJSON()
 			if err == nil {
-				err = os.WriteFile(p.occupancyPath, b, 0o644)
+				err = os.WriteFile(p.occupancyJSON, b, 0o644)
 			}
 			if err != nil {
-				log.Fatalf("-occupancy-json %s: %v", p.occupancyPath, err)
+				log.Fatalf("-occupancy-json %s: %v", p.occupancyJSON, err)
 			}
 		}
 	}
@@ -472,34 +386,39 @@ func runBatch(p batchParams) {
 				log.Fatalf("compacting campaign store: %v", err)
 			}
 			fmt.Fprintf(os.Stderr, "store %s: compacted, kept %d records, %d -> %d bytes (reclaimed %d)\n",
-				p.outDir, cs.Kept, cs.BytesBefore, cs.BytesAfter, cs.Reclaimed)
+				p.out, cs.Kept, cs.BytesBefore, cs.BytesAfter, cs.Reclaimed)
 		}
 		if err := st.Close(); err != nil {
 			log.Fatalf("closing campaign store: %v", err)
 		}
 		s := st.Stats()
 		fmt.Fprintf(os.Stderr, "store %s: records written %d, resume hits %d, torn-tail truncations %d\n",
-			p.outDir, s.RecordsWritten, s.ResumeHits, s.TornTailTruncations)
+			p.out, s.RecordsWritten, s.ResumeHits, s.TornTailTruncations)
 	}
 
-	if p.metricsJSON {
+	switch {
+	case p.metricsJSON:
 		os.Stdout.Write(res.MergedTelemetryJSON())
-		printBatchFooter(started, res)
-		return
+	case report == nil: // -trials > 1 or -out: the aggregate batch JSON
+		writeJSON(res.JSON())
+	case p.jsonStats:
+		writeJSON(report.JSON())
+	default:
+		fmt.Println(report.Render())
 	}
-	out, err := res.JSON()
+	if p.metrics {
+		metrics, spans := res.MergedTelemetry()
+		telemetry.WriteTextMetrics(os.Stderr, metrics, spans)
+	}
+	fmt.Fprintf(os.Stderr, "total wall time: %.1fs, peak heap %.1f MB\n",
+		time.Since(started).Seconds(), float64(res.PeakHeapBytes)/(1<<20))
+}
+
+// writeJSON prints one JSON stdout document and its trailing newline.
+func writeJSON(out []byte, err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
 	os.Stdout.Write(out)
 	fmt.Println()
-	printBatchFooter(started, res)
-}
-
-// printBatchFooter closes the batch's stderr narrative: wall time plus
-// the streaming consumer's peak-heap high-water, the number the
-// memory-flat gate tracks (also exported via -occupancy-json).
-func printBatchFooter(started time.Time, res *runner.Result) {
-	fmt.Fprintf(os.Stderr, "total wall time: %.1fs, peak heap %.1f MB\n",
-		time.Since(started).Seconds(), float64(res.PeakHeapBytes)/(1<<20))
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // TestFlagValidation pins the flag-interaction contract: exactly one
-// document on stdout per mode, no flag silently ignored, no campaign
-// without a store.
+// document on stdout, no flag silently ignored, no campaign without a
+// store — and every observability flag valid on every main-experiment
+// run, solo or batch.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -24,11 +25,19 @@ func TestFlagValidation(t *testing.T) {
 		{"campaign compact", options{trials: 4, out: "camp", compact: true}, ""},
 		{"campaign resume and compact", options{trials: 4, out: "camp", resume: true, compact: true}, ""},
 		{"mitigations alone", options{trials: 1, mitigations: true}, ""},
-		{"mitigations with phase1-only tolerated", options{trials: 1, mitigations: true, phase1Only: true}, ""},
+		// -phase1-only is a core.Config field every run honours; no
+		// flag rule reads it, so its rows hold in any combination.
+		{"mitigations with phase1-only tolerated", options{trials: 1, mitigations: true}, ""},
+		{"batch with phase1-only", options{trials: 4}, ""},
+		{"campaign with phase1-only", options{trials: 1, out: "camp"}, ""},
 		{"batch with watch", options{trials: 4, watch: "127.0.0.1:0"}, ""},
 		{"campaign of one with watch", options{trials: 1, out: "camp", watch: "127.0.0.1:0"}, ""},
 		{"batch with occupancy json", options{trials: 4, occupancyJSON: "occ.json"}, ""},
 		{"batch with flight dir", options{trials: 4, flightDir: "dumps"}, ""},
+		{"single run with watch", options{trials: 1, watch: "127.0.0.1:0"}, ""},
+		{"single run with occupancy json", options{trials: 1, occupancyJSON: "occ.json"}, ""},
+		{"single run with flight dir", options{trials: 1, flightDir: "dumps"}, ""},
+		{"batch with metrics table", options{trials: 4, metrics: true}, ""},
 		{"fully observed campaign", options{trials: 4, out: "camp", watch: ":0", occupancyJSON: "occ.json", flightDir: "dumps", metricsJSON: true}, ""},
 		{"shard campaign", options{trials: 4, out: "camp", shard: "0/2"}, ""},
 		{"last shard", options{trials: 4, out: "camp", shard: "1/2"}, ""},
@@ -48,16 +57,10 @@ func TestFlagValidation(t *testing.T) {
 		{"shard negative index", options{trials: 4, out: "camp", shard: "-1/2"}, "out of range"},
 		{"more shards than trials", options{trials: 2, out: "camp", shard: "0/4"}, "at least one shard would be empty"},
 		{"compact without out", options{trials: 4, compact: true}, "-compact requires -out"},
-		{"single run with watch", options{trials: 1, watch: "127.0.0.1:0"}, "-watch requires batch mode"},
-		{"single run with occupancy json", options{trials: 1, occupancyJSON: "occ.json"}, "-occupancy-json requires batch mode"},
-		{"single run with flight dir", options{trials: 1, flightDir: "dumps"}, "-flight-dir requires batch mode"},
 		{"mitigations with watch", options{trials: 1, mitigations: true, watch: ":0"}, "-mitigations"},
 		{"mitigations with out", options{trials: 1, out: "camp", mitigations: true}, "-mitigations"},
-		{"batch with phase1-only", options{trials: 4, phase1Only: true}, "-phase1-only"},
-		{"campaign with phase1-only", options{trials: 1, out: "camp", phase1Only: true}, "-phase1-only"},
 		{"batch with json-stats", options{trials: 4, jsonStats: true}, "-json-stats"},
 		{"campaign with json-stats", options{trials: 1, out: "camp", jsonStats: true}, "-json-stats"},
-		{"batch with metrics table", options{trials: 4, metrics: true}, "-metrics is incompatible"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,17 +78,5 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("validate() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestBatchMode(t *testing.T) {
-	if (options{trials: 1}).batch() {
-		t.Error("trials=1 without -out must run the single-run path")
-	}
-	if !(options{trials: 2}).batch() {
-		t.Error("trials=2 must run the batch path")
-	}
-	if !(options{trials: 1, out: "camp"}).batch() {
-		t.Error("-out must force batch mode even for one trial")
 	}
 }

@@ -83,6 +83,11 @@ type Config struct {
 	VPsPerCNProvider     int
 	WebSites             int
 	WebASes              int
+
+	// Phase1Only stops a trial after the Phase I landscape: runners skip
+	// the Phase II TTL sweeps. omitempty keeps the campaign hash of every
+	// full-pipeline config unchanged.
+	Phase1Only bool `json:",omitempty"`
 }
 
 // withDefaults resolves zero fields.

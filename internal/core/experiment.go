@@ -81,17 +81,14 @@ func NewExperiment(cfg Config) *Experiment {
 func (e *Experiment) Telemetry() *telemetry.Set { return e.World.Telemetry }
 
 // phase brackets one pipeline stage: it labels the goroutine for CPU
-// profiles (`go tool pprof` groups samples by phase), opens a tracer
-// span stamped with virtual time, and tags progress updates.
+// profiles (`go tool pprof` groups samples by phase) and opens a tracer
+// span stamped with virtual time.
 func (e *Experiment) phase(name string, fn func()) {
-	tele := e.World.Telemetry
-	tele.Progress.SetPhase(name)
-	span := tele.Tracer.Start("phase:" + name)
+	span := e.World.Telemetry.Tracer.Start("phase:" + name)
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) {
 		fn()
 	})
 	span.End()
-	tele.Progress.SetPhase("")
 }
 
 // ScreenPairResolvers runs the Appendix E pair-resolver screening,

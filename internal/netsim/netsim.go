@@ -580,7 +580,6 @@ func (n *Network) Run(deadline time.Time) int64 {
 		processed++
 		n.stats.Events++
 		n.m.eventsDispatched.Inc()
-		n.tele.Progress.Tick(n.now, len(n.events))
 		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
 			truncated = true
 			break
@@ -609,7 +608,6 @@ func (n *Network) RunUntilIdle() int64 {
 		processed++
 		n.stats.Events++
 		n.m.eventsDispatched.Inc()
-		n.tele.Progress.Tick(n.now, len(n.events))
 		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
 			break
 		}

@@ -3,8 +3,10 @@ package runner
 import (
 	"bytes"
 	"os"
+	"slices"
 	"testing"
 
+	"shadowmeter/internal/core"
 	"shadowmeter/internal/runstore"
 	"shadowmeter/internal/telemetry"
 )
@@ -16,6 +18,22 @@ func testStoreManifest(trials int, baseSeed int64) runstore.Manifest {
 		BaseSeed:   baseSeed,
 		Trials:     trials,
 		Scale:      "test",
+	}
+}
+
+// TestCampaignHashPinned guards existing on-disk stores: the default
+// `shadowmeter -scale small` config must keep the hash its manifests
+// carry, so a new core.Config field has to stay out of the encoding at
+// its zero value. A phase1-only campaign is a different campaign.
+func TestCampaignHashPinned(t *testing.T) {
+	const pinned = "8194057ad2e8428e6d4351c4d4f58896ae1a2bc25fcbd3e5ea5a024d59e35a68"
+	cfg := core.Config{Seed: 42, Scale: core.ScaleSmall}
+	if got := CampaignHash(cfg); got != pinned {
+		t.Errorf("CampaignHash(-scale small) = %s, want %s", got, pinned)
+	}
+	cfg.Phase1Only = true
+	if CampaignHash(cfg) == pinned {
+		t.Error("a phase1-only campaign hashes like a full one: it could resume the wrong trials")
 	}
 }
 
@@ -94,7 +112,14 @@ func TestResumeDeterminism(t *testing.T) {
 	resumeCfg := cfg
 	resumeCfg.Store = st2
 	resumeCfg.Resume = true
+	// A served trial has no compiled report: OnReport sees only the
+	// trials this run re-ran.
+	var reported []int
+	resumeCfg.OnReport = func(trial int, _ *core.Report) { reported = append(reported, trial) }
 	resumed := Run(resumeCfg)
+	if !slices.Equal(reported, []int{2, 3}) {
+		t.Errorf("OnReport saw trials %v on resume, want only the re-run [2 3]", reported)
+	}
 	if resumed.StoreErr != nil {
 		t.Fatalf("persisting re-run trials: %v", resumed.StoreErr)
 	}

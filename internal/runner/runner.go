@@ -3,7 +3,8 @@
 //
 // Measurement studies in this space need repeated independent
 // measurements to separate shadowing signal from routing noise, so the
-// reproduction's real unit of work is a batch of trials, not one run.
+// reproduction's real unit of work is a batch of trials, not one run;
+// cmd/shadowmeter's default run is a batch of one.
 // Each trial is a complete core experiment world with its own seed,
 // telemetry set, and virtual clock, executed on a single goroutine
 // exactly as a solo run would be — per-seed determinism is untouched.
@@ -78,6 +79,12 @@ type Config struct {
 	// trial's own goroutine, so batch output is byte-identical with or
 	// without it (CI-enforced by the -watch on/off diff in check.sh).
 	Monitor *Monitor
+
+	// OnReport, when non-nil, receives the compiled report of every trial
+	// this batch runs (never of one served from the store on resume). The
+	// consumer calls it in fold order on the Run goroutine, so it needs no
+	// lock. Nil keeps reports off the worker→consumer channel.
+	OnReport func(trial int, r *core.Report)
 }
 
 // Slice is a half-open window [From, To) of a campaign's trial plan.
@@ -186,7 +193,8 @@ type finishedTrial struct {
 	Trial
 	vStartNS int64
 	vEndNS   int64
-	ran      bool // false when served from the store on resume
+	ran      bool         // false when served from the store on resume
+	report   *core.Report // set only when Config.OnReport wants it
 }
 
 // Run executes the batch and blocks until every trial completes.
@@ -317,6 +325,9 @@ func foldTrial(cfg Config, hash string, res *Result, agg *headlineAgg, ft finish
 			res.StoreErr = fmt.Errorf("trial %d: %w", tr.Trial, err)
 		}
 	}
+	if cfg.OnReport != nil && ft.ran {
+		cfg.OnReport(tr.Trial, ft.report)
+	}
 	agg.fold(tr.Headline)
 	res.mergedMetrics = telemetry.MergeSnapshots(res.mergedMetrics, tr.Metrics)
 	res.mergedSpans = telemetry.MergeSpans(res.mergedSpans, tr.Spans)
@@ -393,7 +404,9 @@ func runTrial(cfg Config, worker, t int, hash string, arena *netsim.Arena) finis
 	}
 	e.ScreenPairResolvers()
 	e.RunPhaseI()
-	e.RunPhaseII()
+	if !coreCfg.Phase1Only {
+		e.RunPhaseII()
+	}
 	report := e.Compile()
 	tele := e.Telemetry()
 	ft := finishedTrial{
@@ -410,6 +423,9 @@ func runTrial(cfg Config, worker, t int, hash string, arena *netsim.Arena) finis
 	}
 	if cfg.Store != nil {
 		ft.Events = eventRecords(e.EventsPhaseI)
+	}
+	if cfg.OnReport != nil {
+		ft.report = report
 	}
 	if m := cfg.Monitor; m != nil {
 		m.trialFinished(worker, t, seed, false, ft.Headline, ft.Metrics, ft.Spans)
@@ -549,14 +565,14 @@ func (r *Result) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// MergedTelemetryJSON folds every trial's telemetry into one export in
-// the shape of telemetry.Set.ExportJSON: counters and histogram buckets
-// sum across worlds, gauges keep their high-water mark, spans sum. A
-// Run-built Result serves the consumer's incrementally merged
-// accumulators (the per-trial snapshots are gone); a hand-built Result
-// falls back to folding whatever the Trials still carry — pairwise
-// left-folds and the whole-batch merge are byte-identical.
-func (r *Result) MergedTelemetryJSON() []byte {
+// MergedTelemetry folds every trial's telemetry into one snapshot:
+// counters and histogram buckets sum across worlds, gauges keep their
+// high-water mark, spans sum. A Run-built Result serves the consumer's
+// incrementally merged accumulators (the per-trial snapshots are gone);
+// a hand-built Result falls back to folding whatever the Trials still
+// carry — pairwise left-folds and the whole-batch merge are
+// byte-identical.
+func (r *Result) MergedTelemetry() ([]telemetry.Metric, []telemetry.SpanStats) {
 	metrics, spans := r.mergedMetrics, r.mergedSpans
 	if metrics == nil && spans == nil {
 		for _, t := range r.Trials {
@@ -564,5 +580,12 @@ func (r *Result) MergedTelemetryJSON() []byte {
 			spans = telemetry.MergeSpans(spans, t.Spans)
 		}
 	}
-	return telemetry.ExportMergedJSON(metrics, spans)
+	return metrics, spans
+}
+
+// MergedTelemetryJSON renders MergedTelemetry in the shape of
+// telemetry.Set.ExportJSON; a one-trial batch exports exactly what that
+// trial's own Set would.
+func (r *Result) MergedTelemetryJSON() []byte {
+	return telemetry.ExportMergedJSON(r.MergedTelemetry())
 }

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"shadowmeter/internal/core"
@@ -24,30 +26,48 @@ func tinyCore() core.Config {
 // same seeds must produce byte-identical merged output at any worker
 // count. Worker scheduling decides only who runs a trial; the streaming
 // consumer folds strictly in trial order, so neither what a trial
-// computes nor where its result lands can depend on the pool size.
+// computes nor where its result lands can depend on the pool size. The
+// OnReport hook rides the same fold: once per trial, in trial order,
+// without touching the output.
 func TestRunnerDeterminism(t *testing.T) {
-	run := func(workers int) (*Result, []byte, []byte) {
-		res := Run(Config{Trials: 4, Workers: workers, BaseSeed: 11, Core: tinyCore()})
+	run := func(workers int, onReport func(int, *core.Report)) (*Result, []byte, []byte) {
+		res := Run(Config{Trials: 4, Workers: workers, BaseSeed: 11, Core: tinyCore(), OnReport: onReport})
 		js, err := res.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, js, res.MergedTelemetryJSON()
 	}
-	serial, serialJSON, serialTele := run(1)
+	serial, serialJSON, serialTele := run(1, nil)
 	if len(serial.Trials) != 4 {
 		t.Fatalf("trial count = %d, want 4", len(serial.Trials))
 	}
-	for _, workers := range []int{4, 16} {
-		parallel, parallelJSON, parallelTele := run(workers)
+	for _, tc := range []struct {
+		workers int
+		hook    bool
+	}{{1, true}, {4, true}, {16, false}} {
+		var reported []int
+		var headlines []map[string]float64
+		var hook func(int, *core.Report)
+		if tc.hook {
+			hook = func(trial int, r *core.Report) {
+				reported = append(reported, trial)
+				headlines = append(headlines, headlineFrom(r))
+			}
+		}
+		workers := tc.workers
+		parallel, parallelJSON, parallelTele := run(workers, hook)
 		if !bytes.Equal(serialJSON, parallelJSON) {
-			t.Errorf("batch JSON differs between workers=1 and workers=%d:\n--- 1\n%s\n--- %d\n%s", workers, serialJSON, workers, parallelJSON)
+			t.Errorf("batch JSON differs between workers=1 and workers=%d (hook %v):\n--- 1\n%s\n--- %d\n%s", workers, tc.hook, serialJSON, workers, parallelJSON)
 		}
 		if !bytes.Equal(serialTele, parallelTele) {
-			t.Errorf("merged telemetry differs between workers=1 and workers=%d", workers)
+			t.Errorf("merged telemetry differs between workers=1 and workers=%d (hook %v)", workers, tc.hook)
 		}
 		if len(parallel.Trials) != 4 {
 			t.Fatalf("workers=%d trial count = %d, want 4", workers, len(parallel.Trials))
+		}
+		if tc.hook && !slices.Equal(reported, []int{0, 1, 2, 3}) {
+			t.Errorf("workers=%d: OnReport saw trials %v, want [0 1 2 3] in order", workers, reported)
 		}
 		for i, tr := range parallel.Trials {
 			if tr.Trial != i || tr.Seed != 11+int64(i) {
@@ -55,6 +75,9 @@ func TestRunnerDeterminism(t *testing.T) {
 			}
 			if len(tr.Headline) == 0 || tr.Resumed {
 				t.Errorf("trial %d missing headline or wrongly marked resumed", i)
+			}
+			if tc.hook && i < len(headlines) && !maps.Equal(headlines[i], tr.Headline) {
+				t.Errorf("workers=%d: OnReport's report for trial %d is not that trial's", workers, i)
 			}
 			// The streaming consumer must have dropped the heavy artifacts.
 			if tr.Metrics != nil || tr.Spans != nil || tr.Events != nil {

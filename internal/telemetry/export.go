@@ -29,39 +29,11 @@ func jsonString(s string) string {
 }
 
 // ExportJSON renders the whole Set — metrics and span aggregates — as
-// one JSON object with stable key order. The object is built by hand
-// (sorted names, deterministic float formatting) so identical runs emit
-// byte-identical payloads: diffing two exports IS the determinism test.
+// one JSON object with stable key order: ExportMergedJSON over the Set's
+// own snapshot. Identical runs emit byte-identical payloads: diffing two
+// exports IS the determinism test.
 func (s *Set) ExportJSON() []byte {
-	var b bytes.Buffer
-	b.WriteString("{\n  \"metrics\": {")
-	metrics := s.Registry.Snapshot()
-	for i, m := range metrics {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString("\n    ")
-		b.WriteString(jsonString(m.Name))
-		b.WriteString(": ")
-		writeMetricJSON(&b, m)
-	}
-	if len(metrics) > 0 {
-		b.WriteString("\n  ")
-	}
-	b.WriteString("},\n  \"spans\": {")
-	spans := s.Tracer.Summary()
-	for i, sp := range spans {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "\n    %s: {\"count\": %d, \"events\": %d, \"virtual_seconds\": %s}",
-			jsonString(sp.Name), sp.Count, sp.Events, formatFloat(sp.Total.Seconds()))
-	}
-	if len(spans) > 0 {
-		b.WriteString("\n  ")
-	}
-	b.WriteString("}\n}\n")
-	return b.Bytes()
+	return ExportMergedJSON(s.Registry.Snapshot(), s.Tracer.Summary())
 }
 
 func writeMetricJSON(b *bytes.Buffer, m Metric) {
@@ -96,8 +68,16 @@ func writeMetricJSON(b *bytes.Buffer, m Metric) {
 // WriteText renders a human-readable summary table of all metrics and
 // span aggregates, in the same deterministic order as ExportJSON.
 func (s *Set) WriteText(w io.Writer) {
+	WriteTextMetrics(w, s.Registry.Snapshot(), s.Tracer.Summary())
+}
+
+// WriteTextMetrics renders an exported metric slice and span summary — a
+// Set's own snapshot or a MergeSnapshots/MergeSpans result — as the
+// human-readable summary table. cmd/shadowmeter -metrics prints a
+// campaign's merged telemetry through this.
+func WriteTextMetrics(w io.Writer, metrics []Metric, spans []SpanStats) {
 	fmt.Fprintf(w, "telemetry summary\n-----------------\n")
-	for _, m := range s.Registry.Snapshot() {
+	for _, m := range metrics {
 		switch {
 		case m.Hist != nil:
 			fmt.Fprintf(w, "%-9s %-44s count=%d sum=%s\n", "histogram", m.Name, m.Hist.Count, formatFloat(m.Hist.Sum))
@@ -125,7 +105,6 @@ func (s *Set) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "%-9s %-44s %12d\n", m.Kind, m.Name, m.Value)
 		}
 	}
-	spans := s.Tracer.Summary()
 	if len(spans) == 0 {
 		return
 	}

@@ -125,9 +125,11 @@ func MergeSpans(summaries ...[]SpanStats) []SpanStats {
 	return out
 }
 
-// ExportMergedJSON renders a merged snapshot and span summary in exactly
-// the shape of Set.ExportJSON, so the multi-trial export stays diffable
-// against single-trial ones and byte-identical across same-seed runs.
+// ExportMergedJSON renders a snapshot and span summary — one Set's, or a
+// merge across trials — as one JSON object with stable key order. The
+// object is built by hand (sorted names, deterministic float formatting)
+// so identical runs emit byte-identical payloads, and a multi-trial
+// export diffs cleanly against a single-trial one.
 func ExportMergedJSON(metrics []Metric, spans []SpanStats) []byte {
 	var b bytes.Buffer
 	b.WriteString("{\n  \"metrics\": {")

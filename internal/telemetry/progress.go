@@ -6,60 +6,11 @@ import (
 	"time"
 )
 
-// Progress is the periodic heartbeat of a long simulation run, driven by
-// simulation-event count rather than wall time: the event loop calls
-// Tick once per dispatched event, and every Every events the Sink fires
-// with a snapshot. Because the cadence is event-count based, the
-// reporting points are deterministic — only the Sink (installed by cmd/
-// binaries) touches the wall clock, typically to print a rate.
-type Progress struct {
-	// Every is the reporting period in events. 0 disables reporting
-	// (Tick degrades to a single increment).
-	Every int64
-	// Sink consumes updates. Nil disables reporting.
-	Sink func(Update)
-
-	phase  string
-	events int64
-}
-
-// Update is one progress snapshot.
-type Update struct {
-	// Phase is the pipeline phase label set by the driver ("phase1").
-	Phase string
-	// Events is the total dispatched simulation events so far.
-	Events int64
-	// Virtual is the simulator's current virtual time.
-	Virtual time.Time
-	// Pending is the event-queue depth at the reporting point.
-	Pending int
-}
-
-// SetPhase labels subsequent updates.
-func (p *Progress) SetPhase(name string) { p.phase = name }
-
-// Phase reports the current phase label.
-func (p *Progress) Phase() string { return p.phase }
-
-// Events reports total ticks so far.
-func (p *Progress) Events() int64 { return p.events }
-
-// Tick records one dispatched event and fires the sink on period
-// boundaries. Called from the single-goroutine event loop; the fast path
-// is one increment and one comparison.
-func (p *Progress) Tick(virtual time.Time, pending int) {
-	p.events++
-	if p.Every <= 0 || p.Sink == nil || p.events%p.Every != 0 {
-		return
-	}
-	p.Sink(Update{Phase: p.phase, Events: p.events, Virtual: virtual, Pending: pending})
-}
-
 // Reporter renders campaign progress from the stream bus: one line per
 // newly completed trial, with a wall-clock ETA extrapolated from the
-// completion rate. Unlike the event-count Progress above (which paces on
-// raw simulation events and so under-reports near slow trials), the
-// Reporter is monotonic by construction — trial_finished events carry
+// completion rate. It is the one progress mechanism: a solo run is a
+// one-trial campaign, so it reports once, at completion. The Reporter is
+// monotonic by construction — trial_finished events carry
 // the campaign's completed count, and lines are emitted only when that
 // count advances, so dropped or transposed bus events can never make
 // progress appear to move backwards.

@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer of the measurement
 // pipeline: a stdlib-only, allocation-light metrics registry (counters,
 // gauges, fixed-bucket histograms), an event tracer stamped with virtual
-// netsim time, and a progress reporter driven by simulation-event count.
+// netsim time, and the campaign stream bus with its per-trial progress
+// Reporter.
 //
 // Determinism is a design constraint, not an afterthought. Metric updates
 // on the simulation path are plain integer increments (the event loop is
@@ -12,28 +13,30 @@
 // same seed produce byte-identical output: the telemetry export doubles as
 // a determinism regression test for the whole pipeline.
 //
-// Three exporters ship: a human-readable summary table (WriteText), a
-// single JSON object with stable key order (ExportJSON), and the
-// Prometheus text exposition format (WritePrometheus) served by
-// cmd/honeypotd.
+// Three exporters ship, each over a snapshot so one Set and a merge of
+// many trials render alike: a human-readable summary table
+// (WriteTextMetrics), a single JSON object with stable key order
+// (ExportMergedJSON), and the Prometheus text exposition format
+// (WritePrometheusMetrics) served by cmd/honeypotd and the watch plane.
+// The Set methods WriteText, ExportJSON and WritePrometheus render the
+// Set's own snapshot through them.
 package telemetry
 
 import "time"
 
-// Clock supplies timestamps to the tracer and progress reporter. On the
+// Clock supplies timestamps to the tracer, bus and progress reporter. On the
 // simulation path this is netsim's virtual clock (Network.Now); only
 // real-network entry points (cmd/, internal/honeypot RealNet) thread
 // time.Now.
 type Clock func() time.Time
 
-// Set bundles the three observability objects threaded through one
-// pipeline run. A single Set is shared by the network simulator, the
+// Set bundles the registry and tracer threaded through one pipeline
+// run. A single Set is shared by the network simulator, the
 // traceroute engine, the honeypots, the correlator, and the experiment
 // driver, so one export covers the whole pipeline.
 type Set struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Progress *Progress
 }
 
 // NewSet creates an empty Set. The tracer's clock starts unset (spans
@@ -44,6 +47,5 @@ func NewSet() *Set {
 	return &Set{
 		Registry: NewRegistry(),
 		Tracer:   NewTracer(nil),
-		Progress: &Progress{},
 	}
 }

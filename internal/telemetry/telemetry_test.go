@@ -155,37 +155,6 @@ func TestTracerRecordRetentionBounded(t *testing.T) {
 	}
 }
 
-func TestProgressCadence(t *testing.T) {
-	var fired []Update
-	p := &Progress{Every: 3, Sink: func(u Update) { fired = append(fired, u) }}
-	p.SetPhase("phase1")
-	for i := 0; i < 10; i++ {
-		p.Tick(base.Add(time.Duration(i)*time.Second), i)
-	}
-	if len(fired) != 3 {
-		t.Fatalf("sink fired %d times, want 3", len(fired))
-	}
-	if fired[0].Events != 3 || fired[2].Events != 9 {
-		t.Fatalf("updates = %+v", fired)
-	}
-	if fired[0].Phase != "phase1" || fired[0].Pending != 2 {
-		t.Fatalf("first update = %+v", fired[0])
-	}
-	if p.Events() != 10 {
-		t.Fatalf("events = %d", p.Events())
-	}
-}
-
-func TestProgressDisabled(t *testing.T) {
-	p := &Progress{} // Every=0: Tick degrades to a counter
-	for i := 0; i < 5; i++ {
-		p.Tick(base, 0)
-	}
-	if p.Events() != 5 {
-		t.Fatalf("events = %d", p.Events())
-	}
-}
-
 // buildSet populates a set with every metric shape.
 func buildSet() *Set {
 	s := NewSet()
@@ -205,10 +174,20 @@ func buildSet() *Set {
 	return s
 }
 
+// mergedOfOne is buildSet as a campaign of one trial sees it: its
+// snapshot folded through the cross-trial merge.
+func mergedOfOne() ([]Metric, []SpanStats) {
+	s := buildSet()
+	return MergeSnapshots(s.Registry.Snapshot()), MergeSpans(s.Tracer.Summary())
+}
+
 func TestExportJSONDeterministic(t *testing.T) {
 	a, b := buildSet().ExportJSON(), buildSet().ExportJSON()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("exports differ:\n%s\n---\n%s", a, b)
+	}
+	if m := ExportMergedJSON(mergedOfOne()); !bytes.Equal(a, m) {
+		t.Fatalf("merged-of-one export differs from the set's own:\n%s\n---\n%s", a, m)
 	}
 	out := string(a)
 	// Metric names appear in sorted order regardless of registration order.
@@ -230,9 +209,14 @@ func TestExportJSONDeterministic(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	var b bytes.Buffer
+	var b, merged bytes.Buffer
 	buildSet().WriteText(&b)
+	metrics, spans := mergedOfOne()
+	WriteTextMetrics(&merged, metrics, spans)
 	out := b.String()
+	if merged.String() != out {
+		t.Errorf("merged-of-one table differs from the set's own:\n%s\n---\n%s", out, merged.String())
+	}
 	for _, want := range []string{"b_total", "a_gauge", "c_hist", `d_total{rule=1}`, "phase:x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text summary missing %q:\n%s", want, out)

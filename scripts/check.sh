@@ -56,15 +56,34 @@ fi
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce
 # byte-identical exports across separate processes. A diff here usually
-# means a map-iteration order leaked into the event schedule.
+# means a map-iteration order leaked into the event schedule. The second
+# run is fully observed, so the same cmp proves the observability plane
+# inert on a solo run too.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/shadowmeter" ./cmd/shadowmeter
 "$tmpdir/shadowmeter" -seed 7 -scale small -metrics-json >"$tmpdir/run1.json" 2>/dev/null
-"$tmpdir/shadowmeter" -seed 7 -scale small -metrics-json >"$tmpdir/run2.json" 2>/dev/null
+"$tmpdir/shadowmeter" -seed 7 -scale small -metrics-json \
+    -watch 127.0.0.1:0 -occupancy-json "$tmpdir/occ1.json" >"$tmpdir/run2.json" 2>/dev/null
 if ! cmp -s "$tmpdir/run1.json" "$tmpdir/run2.json"; then
-    echo "telemetry export is not deterministic for the same seed:" >&2
+    echo "telemetry export is not deterministic for the same seed (or -watch perturbed it):" >&2
     diff "$tmpdir/run1.json" "$tmpdir/run2.json" >&2 || true
+    exit 1
+fi
+if ! grep -q '"busy_fraction"' "$tmpdir/occ1.json"; then
+    echo "solo -occupancy-json report is missing worker occupancy:" >&2
+    cat "$tmpdir/occ1.json" >&2
+    exit 1
+fi
+
+echo "== CLI <-> benchmark reference pin"
+# The CLI and shadowbench drive the same pipeline: a phase1-only report
+# of world 0 must hash to the benchmark's first landscape reference
+# (sha256 of the report JSON without its trailing newline).
+want=$(jq -r '.landscape[0]' shadowbench/refs.json)
+got=$("$tmpdir/shadowmeter" -seed 0 -json-stats -phase1-only 2>/dev/null | head -c -1 | sha256sum | cut -d' ' -f1)
+if [ "$got" != "$want" ]; then
+    echo "shadowmeter -seed 0 -json-stats -phase1-only hashes to $got, shadowbench/refs.json landscape[0] is $want" >&2
     exit 1
 fi
 
