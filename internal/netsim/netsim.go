@@ -8,14 +8,14 @@
 // hop-by-hop traceroute needs. On-path devices attach to routers as Taps
 // and see the same bytes a DPI middlebox would.
 //
-// Time is virtual: a binary-heap event queue advances a simulated clock, so
-// a two-month measurement campaign with multi-day data-retention delays
-// runs in milliseconds of wall-clock time. All execution is single
-// goroutine and fully deterministic for a given seed and call order.
+// Time is virtual: a two-lane event queue (a FIFO for packet hops, a
+// min-heap for everything else) advances a simulated clock, so a two-month
+// measurement campaign with multi-day data-retention delays runs in
+// milliseconds of wall-clock time. All execution is single goroutine and
+// fully deterministic for a given seed and call order.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -106,9 +106,10 @@ type Config struct {
 	// Telemetry receives the simulator's metrics and progress ticks. Nil
 	// creates a private set, so the hot path never nil-checks.
 	Telemetry *telemetry.Set
-	// Arena, when non-nil, seeds the event/flight pools from a previous
-	// world's harvest (see Arena). Purely an allocation amortization: a
-	// world behaves identically with or without one.
+	// Arena, when non-nil, seeds the event/flight pools and the event-queue
+	// lanes from a previous world's harvest (see Arena). Purely an
+	// allocation amortization: a world behaves identically with or without
+	// one.
 	Arena *Arena
 }
 
@@ -117,9 +118,13 @@ const DefaultHopLatency = 8 * time.Millisecond
 
 // Network is the simulator instance.
 type Network struct {
-	now    time.Time
-	events eventHeap
-	seq    int64
+	now time.Time
+	seq int64
+	// hops and timers are the two lanes of the event queue; drain merges
+	// their heads into one (at, seq) order. See hopRing for why the hop
+	// lane needs no sifting.
+	hops   hopRing
+	timers timerHeap
 
 	hosts      map[wire.Addr]Handler
 	pathFn     PathFunc
@@ -258,18 +263,22 @@ func (n *Network) Schedule(delay time.Duration, fn func()) {
 	n.scheduleEvent(delay, e)
 }
 
-// scheduleEvent pushes a prepared event onto the queue.
+// scheduleEvent queues a prepared event: on the hop lane when it is due
+// exactly one hop latency from now, on the timer lane otherwise.
 func (n *Network) scheduleEvent(delay time.Duration, e *event) {
 	if delay < 0 {
 		delay = 0
 	}
 	n.seq++
 	e.at = n.now.Add(delay)
-	e.atNS = e.at.UnixNano()
-	e.seq = n.seq
-	heap.Push(&n.events, e)
+	q := queued{atNS: e.at.UnixNano(), seq: n.seq, e: e}
+	if delay == n.hopLatency {
+		n.hops.push(q)
+	} else {
+		n.timers.push(q)
+	}
 	n.m.eventsScheduled.Inc()
-	n.m.queuePeak.SetMax(int64(len(n.events)))
+	n.m.queuePeak.SetMax(int64(n.Pending()))
 }
 
 // newEvent takes an event from the pool (or allocates the pool's next).
@@ -311,34 +320,36 @@ func (n *Network) releaseFlight(f *flight) {
 }
 
 // Arena carries a Network's recyclable scratch — the event and flight free
-// lists plus the drained event-heap backing array — across Network
-// lifetimes. A campaign worker running many single-trial worlds in
-// sequence attaches one arena to each world in turn, so the event loop's
-// steady-state pool is grown once per worker instead of once per trial.
-// Pooled objects are fully re-initialized on acquisition and hold no
-// references after release, so reuse cannot leak state between worlds. An
-// arena belongs to one goroutine at a time; hand-off between worlds must
-// be externally ordered (the runner keeps one per worker).
+// lists plus the drained backing arrays of both event-queue lanes (the hop
+// ring and the timer heap) — across Network lifetimes. A campaign worker
+// running many single-trial worlds in sequence attaches one arena to each
+// world in turn, so the event loop's steady-state pools and lanes are
+// grown once per worker instead of once per trial. Pooled objects are
+// fully re-initialized on acquisition and hold no references after
+// release, so reuse cannot leak state between worlds. An arena belongs to
+// one goroutine at a time; hand-off between worlds must be externally
+// ordered (the runner keeps one per worker).
 type Arena struct {
-	events      []*event
-	flights     []*flight
-	heapBacking eventHeap
+	events  []*event
+	flights []*flight
+	hops    []queued
+	timers  timerHeap
 }
 
-// attach seeds n's pools from the arena, leaving the arena empty. New
-// calls it before any event is scheduled.
+// attach seeds n's pools and lanes from the arena, leaving the arena
+// empty. New calls it before any event is scheduled.
 func (a *Arena) attach(n *Network) {
 	n.freeEvents, a.events = a.events, nil
 	n.freeFlights, a.flights = a.flights, nil
-	if cap(a.heapBacking) > 0 {
-		n.events, a.heapBacking = a.heapBacking[:0], nil
-	}
+	n.hops.buf, a.hops = a.hops, nil
+	n.timers, a.timers = a.timers, nil
 }
 
 // Harvest reclaims n's pools into the arena once the world has drained
 // (every event dispatched, every flight landed). The Network must not be
-// run again afterwards. Undispatched events left behind by a truncated
-// run stay with the Network — only the released free lists move — so
+// run again afterwards. The lane backings move only when both lanes are
+// empty: undispatched events left behind by a truncated run stay with the
+// Network, lanes included — only the released free lists move — so
 // harvesting a truncated world is safe, just less fruitful.
 func (a *Arena) Harvest(n *Network) {
 	if a == nil || n == nil {
@@ -346,8 +357,9 @@ func (a *Arena) Harvest(n *Network) {
 	}
 	a.events, n.freeEvents = n.freeEvents, nil
 	a.flights, n.freeFlights = n.freeFlights, nil
-	if len(n.events) == 0 {
-		a.heapBacking, n.events = n.events[:0], nil
+	if n.Pending() == 0 {
+		a.hops, n.hops = n.hops.buf, hopRing{}
+		a.timers, n.timers = n.timers[:0], nil
 	}
 }
 
@@ -564,59 +576,66 @@ func (n *Network) dispatch(e *event) {
 // Run processes events until the queue is empty or the virtual clock would
 // pass deadline. It returns the number of events processed.
 func (n *Network) Run(deadline time.Time) int64 {
-	var processed int64
-	truncated := false
-	for n.events.Len() > 0 {
-		next := n.events[0]
-		if next.at.After(deadline) {
-			break
-		}
-		heap.Pop(&n.events)
-		if next.at.After(n.now) {
-			n.now = next.at
-		}
-		n.m.queueDepth.Observe(float64(len(n.events) + 1))
-		n.dispatch(next)
-		processed++
-		n.stats.Events++
-		n.m.eventsDispatched.Inc()
-		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
-			truncated = true
-			break
-		}
-	}
-	// Fast-forward to the deadline only when the queue genuinely drained to
-	// it. A maxEvents break leaves unprocessed events behind; jumping the
-	// clock past them would make a later run dispatch them with timestamps
-	// in the past.
+	processed, truncated := n.drain(deadline, true)
+	// Fast-forward to the deadline only when no due event is left behind.
+	// A maxEvents stop leaves unprocessed events; jumping the clock past
+	// them would make a later run dispatch them with timestamps in the past.
 	if !truncated && deadline.After(n.now) {
 		n.now = deadline
 	}
 	return processed
 }
 
-// RunUntilIdle drains the event queue completely.
+// RunUntilIdle drains the event queue completely: no deadline, and so no
+// fast-forward of the clock past the last event.
 func (n *Network) RunUntilIdle() int64 {
-	var processed int64
-	for n.events.Len() > 0 {
-		next := heap.Pop(&n.events).(*event)
-		if next.at.After(n.now) {
-			n.now = next.at
-		}
-		n.m.queueDepth.Observe(float64(len(n.events) + 1))
-		n.dispatch(next)
-		processed++
-		n.stats.Events++
-		n.m.eventsDispatched.Inc()
-		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
-			break
-		}
-	}
+	processed, _ := n.drain(time.Time{}, false)
 	return processed
 }
 
 // Pending reports the number of queued events.
-func (n *Network) Pending() int { return n.events.Len() }
+func (n *Network) Pending() int { return n.hops.n + len(n.timers) }
+
+// drain is the event loop shared by Run and RunUntilIdle. It dispatches
+// events in (at, seq) order — each time the earlier of the two lane heads
+// — until both lanes are empty, the next event falls after deadline (when
+// bounded), or the maxEvents valve stops it. The valve is checked before
+// the pop, so once it has tripped no later call dispatches anything;
+// truncated reports that it stopped the loop with a due event pending.
+func (n *Network) drain(deadline time.Time, bounded bool) (processed int64, truncated bool) {
+	for {
+		pending := n.Pending()
+		if pending == 0 {
+			return processed, false
+		}
+		fromHops := n.hops.n > 0 && (len(n.timers) == 0 || n.hops.front().before(&n.timers[0]))
+		var next *event
+		if fromHops {
+			next = n.hops.front().e
+		} else {
+			next = n.timers[0].e
+		}
+		if bounded && next.at.After(deadline) {
+			return processed, false
+		}
+		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
+			return processed, true
+		}
+		if fromHops {
+			n.hops.pop()
+		} else {
+			n.timers.pop()
+		}
+		if next.at.After(n.now) {
+			n.now = next.at
+		}
+		n.m.queueDepth.Observe(float64(pending))
+		n.dispatch(next)
+		processed++
+		n.stats.Events++
+		n.m.eventsDispatched.Inc()
+	}
+}
 
 // event is one queued occurrence: a generic callback (fn), a packet-flight
 // step (flight), or a typed UDP request timeout (udpW). Exactly one of the
@@ -624,11 +643,9 @@ func (n *Network) Pending() int { return n.events.Len() }
 // every probe: carrying the waiter and its generation in plain fields
 // costs nothing, where the equivalent closure allocated once per request.
 // Events are pooled by the Network; they live only between scheduleEvent
-// and dispatch.
+// and dispatch. Their sort key lives beside them in the lane (queued).
 type event struct {
 	at     time.Time
-	atNS   int64 // at.UnixNano(), precomputed: heap sifts compare plain ints
-	seq    int64 // FIFO tiebreak for simultaneous events
 	fn     func()
 	flight *flight
 
@@ -637,26 +654,101 @@ type event struct {
 	udpGen  uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].atNS != h[j].atNS {
-		return h[i].atNS < h[j].atNS
-	}
-	return h[i].seq < h[j].seq
+// queued is one lane slot: an event with its sort key inline, so the lane
+// merge and the heap sifts compare plain ints without touching the event.
+type queued struct {
+	atNS int64 // e.at.UnixNano()
+	seq  int64 // FIFO tiebreak for simultaneous events
+	e    *event
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// before orders slots by (atNS, seq): the dispatch order.
+func (q *queued) before(r *queued) bool {
+	if q.atNS != r.atNS {
+		return q.atNS < r.atNS
+	}
+	return q.seq < r.seq
+}
 
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
+// hopRing is the hop lane: a FIFO ring of the events scheduled exactly one
+// hop latency ahead, which includes every router arrival and delivery. It
+// is already in (atNS, seq) order without sifting: the clock never moves
+// backwards and seq strictly increases, so each push carries a key no
+// smaller than the one before it.
+type hopRing struct {
+	buf  []queued // len is zero or a power of two
+	head int
+	n    int
+}
 
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+func (r *hopRing) front() *queued { return &r.buf[r.head] }
+
+func (r *hopRing) push(q queued) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = q
+	r.n++
+}
+
+func (r *hopRing) pop() {
+	r.buf[r.head] = queued{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+// grow doubles a full ring, unrolling it so the oldest slot lands at 0.
+func (r *hopRing) grow() {
+	buf := make([]queued, max(256, 2*len(r.buf)))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+// timerHeap is the timer lane: a binary min-heap by (atNS, seq) of every
+// event due at any delay but one hop latency — Schedule callbacks, UDP
+// request timeouts and the ICMP returns from past the first router.
+type timerHeap []queued
+
+func (h *timerHeap) push(q queued) {
+	*h = append(*h, q)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.before(&s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = q
+}
+
+// pop removes the root: the last slot sifts down from the top.
+func (h *timerHeap) pop() {
+	s := *h
+	last := len(s) - 1
+	q := s[last]
+	s[last] = queued{}
+	s = s[:last]
+	*h = s
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&q) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if last > 0 {
+		s[i] = q
+	}
 }

@@ -246,6 +246,23 @@ func TestMaxEventsBound(t *testing.T) {
 	if processed != 10 {
 		t.Errorf("processed = %d, want 10 (bounded)", processed)
 	}
+
+	// Once the valve has tripped, later calls dispatch nothing: the bound
+	// is on total processed events, not per call.
+	pending, now := n.Pending(), n.Now()
+	if got := n.RunUntilIdle(); got != 0 {
+		t.Errorf("second RunUntilIdle processed %d, want 0", got)
+	}
+	if got := n.Run(t0.Add(time.Hour)); got != 0 {
+		t.Errorf("Run after the trip processed %d, want 0", got)
+	}
+	if n.Pending() != pending || !n.Now().Equal(now) {
+		t.Errorf("after the trip: Pending = %d, Now = %v; want %d, %v unchanged",
+			n.Pending(), n.Now(), pending, now)
+	}
+	if s := n.Stats(); s.Events != 10 {
+		t.Errorf("Stats().Events = %d, want 10", s.Events)
+	}
 }
 
 func TestRunClockStopsAtMaxEvents(t *testing.T) {
@@ -350,8 +367,9 @@ func TestNoRouteNotDeliveredHopFree(t *testing.T) {
 
 func TestForwardPathAllocationFree(t *testing.T) {
 	// The event and flight pools keep the steady-state forward path nearly
-	// allocation-free: one alloc for the packet copy in SendPacket plus
-	// heap-slice noise, nothing per hop.
+	// allocation-free: one alloc for the packet copy in SendPacket, nothing
+	// per hop. The warmed queue lanes never regrow; the bound leaves slack
+	// for runtime noise.
 	routers := []*Router{
 		{Name: "r1", Addr: wire.AddrFrom(10, 0, 0, 1)},
 		{Name: "r2", Addr: wire.AddrFrom(10, 0, 0, 2)},

@@ -390,6 +390,16 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 7 ]; then
     echo "forward-path allocations regressed: $allocs allocs/op (gate: 7)" >&2
     exit 1
 fi
+# The event queue at locate's depth (64k pending, hop:timer about 9:1)
+# re-arms prebuilt callbacks: both lanes are grown before the timer
+# starts, so dispatch allocates nothing. Baseline: 0 allocs/op.
+allocs=$(go test -run '^$' -bench BenchmarkEventQueue -benchmem ./internal/netsim |
+    awk '/BenchmarkEventQueue/ {print $(NF-1)}')
+echo "BenchmarkEventQueue: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 1 ]; then
+    echo "event-queue allocations regressed: $allocs allocs/op (gate: 1)" >&2
+    exit 1
+fi
 
 echo "== trials allocation + multi-core speedup gates"
 # The multi-trial runner went through two campaign-scale allocation
