@@ -231,9 +231,8 @@ func (e *Experiment) recordSentRecursive(d *decoy.Decoy, dstName string, recursi
 
 // classifyNew feeds unprocessed honeypot captures to the correlator.
 func (e *Experiment) classifyNew() []correlate.Unsolicited {
-	caps := e.World.Honeypots.Log.Snapshot()
-	fresh := caps[e.processedCaptures:]
-	e.processedCaptures = len(caps)
+	fresh := e.World.Honeypots.Log.Since(e.processedCaptures)
+	e.processedCaptures += len(fresh)
 	return e.Correlator.Classify(fresh)
 }
 

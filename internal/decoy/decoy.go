@@ -10,6 +10,7 @@
 package decoy
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -231,13 +232,13 @@ func extractDomain(proto Protocol, payload []byte, in *identifier.Interner) (str
 		}
 		return dnswire.QueryNameFromBytes(payload)
 	case HTTP:
-		host, ok := httpwire.HostFromBytes(payload)
-		if !ok || host == "" {
+		host, ok := httpwire.HostBytes(payload)
+		if !ok || len(host) == 0 {
 			return "", false
 		}
 		return canonicalInterned(host, in), true
 	case TLS:
-		name, err := tlswire.SNIFromBytes(payload)
+		name, err := tlswire.SNIBytes(payload)
 		if err != nil {
 			return "", false
 		}
@@ -246,8 +247,33 @@ func extractDomain(proto Protocol, payload []byte, in *identifier.Interner) (str
 	return "", false
 }
 
-func canonicalInterned(name string, in *identifier.Interner) string {
-	c := dnswire.Canonical(name)
+// canonicalInterned returns dnswire.Canonical of a name still in the
+// packet, through in when non-nil. An ASCII name is canonicalized in a
+// stack buffer and interned from there, so a name seen before costs no
+// allocation; anything else takes dnswire.Canonical itself.
+func canonicalInterned(name []byte, in *identifier.Interner) string {
+	var buf [253]byte
+	name = bytes.TrimSuffix(name, []byte("."))
+	if len(name) <= len(buf) {
+		ascii := true
+		for i, c := range name {
+			if c >= 0x80 {
+				ascii = false
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		if ascii {
+			if in != nil {
+				return in.InternBytes(buf[:len(name)])
+			}
+			return string(buf[:len(name)])
+		}
+	}
+	c := dnswire.Canonical(string(name))
 	if in != nil {
 		return in.Intern(c)
 	}

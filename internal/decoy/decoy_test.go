@@ -7,6 +7,7 @@ import (
 
 	"shadowmeter/internal/dnswire"
 	"shadowmeter/internal/httpwire"
+	"shadowmeter/internal/tlswire"
 	"shadowmeter/internal/wire"
 )
 
@@ -277,5 +278,67 @@ func TestGenerateDoHHidesQNAMEFromWire(t *testing.T) {
 	}
 	if msg.QName() != d.Domain {
 		t.Errorf("inner QNAME = %q, want %q", msg.QName(), d.Domain)
+	}
+}
+
+// TestSniffHostSNIMatchesStringPath holds the byte-view sniff of HTTP Host
+// and TLS SNI to the string path it replaced — HostFromBytes/SNIFromBytes
+// then dnswire.Canonical — on ASCII, mixed-case, trailing-dot, non-ASCII
+// and over-long names, with and without an interner.
+func TestSniffHostSNIMatchesStringPath(t *testing.T) {
+	names := []string{
+		"", "www.example.com", "WWW.Example.COM", "example.com.", "Example.COM.",
+		"example.com..", ".", "a", "xn--bcher-kva.example",
+		"Bücher.Example.", "ÄÖÜ.example", "straße.DE.", "\xff\xfe.invalid",
+		strings.Repeat("Ab", 126) + ".", strings.Repeat("ab", 127), strings.Repeat("ä", 200),
+	}
+	var s Sniffer
+	for _, name := range names {
+		httpReq := []byte("GET / HTTP/1.1\r\nHost: " + name + "\r\nAccept: */*\r\n\r\n")
+		hello, err := tlswire.NewClientHello(name, [32]byte{}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			port    uint16
+			payload []byte
+			ref     func([]byte) (string, bool)
+		}{
+			{80, httpReq, func(b []byte) (string, bool) {
+				h, ok := httpwire.HostFromBytes(b)
+				return dnswire.Canonical(h), ok && h != ""
+			}},
+			{443, hello, func(b []byte) (string, bool) {
+				n, err := tlswire.SNIFromBytes(b)
+				return dnswire.Canonical(n), err == nil
+			}},
+		} {
+			want, wantOK := tc.ref(tc.payload)
+			got, _, ok := SniffDomain(tc.port, tc.payload)
+			interned, _, iok := s.SniffDomain(tc.port, tc.payload)
+			if ok != wantOK || iok != wantOK || (wantOK && (got != want || interned != want)) {
+				t.Errorf("port %d, name %q: sniffed (%q, %v), interned (%q, %v); string path gives (%q, %v)",
+					tc.port, name, got, ok, interned, iok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestSniffHostSNIAllocationFree: once a Host or SNI has been interned,
+// sniffing it again allocates nothing.
+func TestSniffHostSNIAllocationFree(t *testing.T) {
+	g := gen()
+	dHTTP, _ := g.Generate(HTTP, epoch, vp, dst, 64)
+	dTLS, _ := g.Generate(TLS, epoch, vp, dst, 64)
+	var s Sniffer
+	for _, d := range []*Decoy{dHTTP, dTLS} {
+		port := uint16(80)
+		if d.Protocol == TLS {
+			port = 443
+		}
+		s.SniffDomain(port, d.Payload)
+		if allocs := testing.AllocsPerRun(100, func() { s.SniffDomain(port, d.Payload) }); allocs != 0 {
+			t.Errorf("%v: repeat sniff allocated %v times, want 0", d.Protocol, allocs)
+		}
 	}
 }

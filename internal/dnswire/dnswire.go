@@ -348,7 +348,9 @@ func Decode(data []byte) (*Message, error) {
 
 // DecodeInto parses a wire-format DNS message into m, reusing m's section
 // slices (truncated and refilled in place). Decoded names and TXT payloads
-// are freshly allocated strings, so nothing in m aliases data — but the
+// are strings of their own, so nothing in m aliases data; a name that
+// repeats the one decoded just before it (an answer echoing its question,
+// records of one owner) shares that string instead of allocating again. The
 // section backing arrays are recycled across calls, so DecodeInto is only
 // for call sites that fully consume (or copy out of) one message before
 // decoding the next. Everyone else should use Decode.
@@ -378,12 +380,13 @@ func DecodeInto(m *Message, data []byte) error {
 	h.ARCount = binary.BigEndian.Uint16(data[10:12])
 
 	off := 12
+	last := "" // the name decoded most recently, for decodeName to reuse
 	for i := 0; i < int(h.QDCount); i++ {
-		name, n, err := decodeName(data, off)
+		name, n, err := decodeName(data, off, last)
 		if err != nil {
 			return err
 		}
-		off = n
+		off, last = n, name
 		if off+4 > len(data) {
 			return ErrTruncated
 		}
@@ -395,20 +398,21 @@ func DecodeInto(m *Message, data []byte) error {
 		off += 4
 	}
 	var err error
-	if m.Answers, off, err = decodeRRs(m.Answers, data, off, int(h.ANCount)); err != nil {
+	if m.Answers, off, err = decodeRRs(m.Answers, data, off, int(h.ANCount), &last); err != nil {
 		return err
 	}
-	if m.Authority, off, err = decodeRRs(m.Authority, data, off, int(h.NSCount)); err != nil {
+	if m.Authority, off, err = decodeRRs(m.Authority, data, off, int(h.NSCount), &last); err != nil {
 		return err
 	}
-	if m.Additional, _, err = decodeRRs(m.Additional, data, off, int(h.ARCount)); err != nil {
+	if m.Additional, _, err = decodeRRs(m.Additional, data, off, int(h.ARCount), &last); err != nil {
 		return err
 	}
 	return nil
 }
 
 // decodeRRs appends count records onto dst, reusing its backing array.
-func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
+// last carries the most recently decoded name in and out (see decodeName).
+func decodeRRs(dst []RR, data []byte, off, count int, last *string) ([]RR, int, error) {
 	if count == 0 {
 		return dst, off, nil
 	}
@@ -417,11 +421,11 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 		rrs = make([]RR, 0, count)
 	}
 	for i := 0; i < count; i++ {
-		name, n, err := decodeName(data, off)
+		name, n, err := decodeName(data, off, *last)
 		if err != nil {
 			return nil, 0, err
 		}
-		off = n
+		off, *last = n, name
 		if off+10 > len(data) {
 			return nil, 0, ErrTruncated
 		}
@@ -443,11 +447,11 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 			}
 			copy(r.Addr[:], rdata)
 		case TypeCNAME, TypeNS:
-			t, _, err := decodeName(data, off)
+			t, _, err := decodeName(data, off, *last)
 			if err != nil {
 				return nil, 0, err
 			}
-			r.Target = t
+			r.Target, *last = t, t
 		case TypeTXT:
 			if rdlen > 0 {
 				sl := int(rdata[0])
@@ -457,11 +461,11 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 				r.Text = string(rdata[1 : 1+sl])
 			}
 		case TypeSOA:
-			t, _, err := decodeName(data, off)
+			t, _, err := decodeName(data, off, *last)
 			if err != nil {
 				return nil, 0, err
 			}
-			r.Target = t
+			r.Target, *last = t, t
 		}
 		off += rdlen
 		rrs = append(rrs, r)
@@ -473,8 +477,9 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 // presentation-form name (lowercase, no trailing dot) and the offset just
 // past the name in the original (non-pointer) encoding. The name assembles
 // in a stack buffer — lowercased as it is copied — so the only allocation
-// is the returned string.
-func decodeName(data []byte, off int) (string, int, error) {
+// is the returned string, and not even that when the name equals prev
+// byte for byte (after lowercasing): prev itself is returned then.
+func decodeName(data []byte, off int, prev string) (string, int, error) {
 	// 253 presentation octets is the longest legal name; anything that
 	// overruns the buffer is ErrNameTooLong whenever it terminates.
 	var buf [254]byte
@@ -499,6 +504,9 @@ func decodeName(data []byte, off int) (string, int, error) {
 				// Match strings.ToLower on the original bytes exactly
 				// (multi-byte case folding) for the rare non-ASCII name.
 				return strings.ToLower(string(buf[:n])), end, nil
+			}
+			if string(buf[:n]) == prev {
+				return prev, end, nil
 			}
 			return string(buf[:n]), end, nil
 		case b&0xC0 == 0xC0:

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"shadowmeter/internal/wire"
 )
@@ -317,5 +318,91 @@ func BenchmarkDecodeResponse(b *testing.B) {
 		if _, err := Decode(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// nameMsg assembles a response by hand: a question for qname (uncompressed)
+// followed by A records whose owner names are given as raw wire bytes, so
+// a test controls compression and case exactly.
+func nameMsg(qname string, owners ...[]byte) []byte {
+	msg := []byte{0, 1, 0x81, 0x80, 0, 1, 0, byte(len(owners)), 0, 0, 0, 0}
+	msg = append(msg, wireName(qname)...)
+	msg = append(msg, 0, byte(TypeA), 0, byte(ClassIN))
+	for _, o := range owners {
+		msg = append(msg, o...)
+		msg = append(msg, 0, byte(TypeA), 0, byte(ClassIN), 0, 0, 0x0E, 0x10, 0, 4, 192, 0, 2, 1)
+	}
+	return msg
+}
+
+func wireName(name string) []byte {
+	var out []byte
+	for _, l := range strings.Split(name, ".") {
+		out = append(out, byte(len(l)))
+		out = append(out, l...)
+	}
+	return append(out, 0)
+}
+
+// TestDecodeReusesRepeatedName pins when DecodeInto shares the previous
+// name's string: only when the decoded name equals it byte for byte.
+func TestDecodeReusesRepeatedName(t *testing.T) {
+	const q = "www.example.com"
+	toQ := []byte{0xC0, 12} // compression pointer to the question name
+	cases := []struct {
+		name   string
+		owners [][]byte
+		want   []string
+		shared []bool // answer i shares the string of the name before it
+	}{
+		{"compression pointer to the question", [][]byte{toQ, toQ},
+			[]string{q, q}, []bool{true, true}},
+		{"uncompressed repeat", [][]byte{wireName(q)},
+			[]string{q}, []bool{true}},
+		{"case-differing repeat decodes to the same name", [][]byte{wireName("WWW.Example.COM")},
+			[]string{q}, []bool{true}},
+		{"different name", [][]byte{wireName("mail.example.com")},
+			[]string{"mail.example.com"}, []bool{false}},
+		{"suffix of the previous name", [][]byte{wireName("example.com")},
+			[]string{"example.com"}, []bool{false}},
+		{"repeat after a different name compares with that one", [][]byte{wireName("mail.example.com"), toQ},
+			[]string{"mail.example.com", q}, []bool{false, false}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var m Message
+			if err := DecodeInto(&m, nameMsg(q, tc.owners...)); err != nil {
+				t.Fatal(err)
+			}
+			prev := m.QName()
+			if prev != q {
+				t.Fatalf("QName = %q, want %q", prev, q)
+			}
+			for i, rr := range m.Answers {
+				if rr.Name != tc.want[i] {
+					t.Errorf("answer %d name = %q, want %q", i, rr.Name, tc.want[i])
+				}
+				if shared := unsafe.StringData(rr.Name) == unsafe.StringData(prev); shared != tc.shared[i] {
+					t.Errorf("answer %d shares the previous name's string = %v, want %v", i, shared, tc.shared[i])
+				}
+				prev = rr.Name
+			}
+		})
+	}
+}
+
+// TestDecodeIntoRepeatedNameAllocations: a question answered by three
+// records of its own name costs one name string, not four.
+func TestDecodeIntoRepeatedNameAllocations(t *testing.T) {
+	toQ := []byte{0xC0, 12}
+	data := nameMsg("www.example.com", toQ, toQ, toQ)
+	var m Message
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(&m, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("DecodeInto allocated %v times per message, want 1 (the one name)", allocs)
 	}
 }

@@ -61,6 +61,19 @@ func (l *Log) Snapshot() []Capture {
 	return append([]Capture(nil), l.captures...)
 }
 
+// Since returns the captures from index i on (none when i is past the
+// end) as a read-only view of the log, without copying. Captures are never
+// modified once appended, and the view's capacity ends at its length, so a
+// later Append cannot write into it and appending to the view cannot write
+// into the log. Use Snapshot for a copy to own.
+func (l *Log) Since(i int) []Capture {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.captures)
+	i = min(max(i, 0), n)
+	return l.captures[i:n:n]
+}
+
 // Len reports the number of captures.
 func (l *Log) Len() int {
 	l.mu.Lock()

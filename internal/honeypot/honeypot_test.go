@@ -246,3 +246,40 @@ func TestLogConcurrentAppend(t *testing.T) {
 		t.Error("Snapshot must copy")
 	}
 }
+
+// TestLogSince: Since is the tail of the log from an index on, clamped to
+// the log's bounds, sharing the log's storage without letting either side
+// write into the other.
+func TestLogSince(t *testing.T) {
+	l := NewLog()
+	for _, d := range []string{"a", "b", "c"} {
+		l.Append(Capture{Domain: d})
+	}
+	domains := func(cs []Capture) string {
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.Domain)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct {
+		from int
+		want string
+	}{{-1, "a,b,c"}, {0, "a,b,c"}, {1, "b,c"}, {3, ""}, {7, ""}} {
+		if got := domains(l.Since(tc.from)); got != tc.want {
+			t.Errorf("Since(%d) = %q, want %q", tc.from, got, tc.want)
+		}
+	}
+	view := l.Since(1)
+	if cap(view) != len(view) {
+		t.Errorf("Since view has spare capacity %d", cap(view)-len(view))
+	}
+	_ = append(view, Capture{Domain: "x"}) // must not land in the log
+	l.Append(Capture{Domain: "d"})         // must not land in the view
+	if got := domains(view); got != "b,c" {
+		t.Errorf("view after appends on both sides = %q, want b,c", got)
+	}
+	if got := domains(l.Snapshot()); got != "a,b,c,d" {
+		t.Errorf("log after appends on both sides = %q, want a,b,c,d", got)
+	}
+}

@@ -344,14 +344,23 @@ func takeBody(headers map[string]string, body []byte) ([]byte, error) {
 }
 
 // HostFromBytes extracts the Host header of a serialized request without
-// building the request struct or header map: the observer-tap fast path.
-// It applies the same validation ParseRequest does — request-line shape,
-// header syntax, Content-Length body completeness — so it accepts exactly
-// the requests the full parser would, at one allocation (the host string).
+// building the request struct or header map. It applies the same
+// validation ParseRequest does — request-line shape, header syntax,
+// Content-Length body completeness — so it accepts exactly the requests
+// the full parser would, at one allocation (the host string).
 func HostFromBytes(data []byte) (string, bool) {
+	host, ok := HostBytes(data)
+	return string(host), ok
+}
+
+// HostBytes is HostFromBytes returning the host as a view into data
+// (trimmed, case as sent) instead of a string: the observer-tap fast path,
+// which canonicalizes and interns the name without allocating for a name
+// it has seen before. The view is valid as long as data is.
+func HostBytes(data []byte) ([]byte, bool) {
 	headEnd := bytes.Index(data, []byte("\r\n\r\n"))
 	if headEnd < 0 {
-		return "", false
+		return nil, false
 	}
 	head, body := data[:headEnd], data[headEnd+4:]
 
@@ -363,14 +372,14 @@ func HostFromBytes(data []byte) (string, bool) {
 	line := head[:lineEnd]
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 < 0 {
-		return "", false
+		return nil, false
 	}
 	sp2 := bytes.IndexByte(line[sp1+1:], ' ')
 	if sp2 < 0 {
-		return "", false
+		return nil, false
 	}
 	if !bytes.HasPrefix(line[sp1+1+sp2+1:], []byte("HTTP/")) {
-		return "", false
+		return nil, false
 	}
 
 	var host []byte
@@ -389,7 +398,7 @@ func HostFromBytes(data []byte) (string, bool) {
 		}
 		colon := bytes.IndexByte(hl, ':')
 		if colon <= 0 {
-			return "", false
+			return nil, false
 		}
 		key := bytes.TrimSpace(hl[:colon])
 		val := bytes.TrimSpace(hl[colon+1:])
@@ -399,11 +408,11 @@ func HostFromBytes(data []byte) (string, bool) {
 		case len(key) == 14 && asciiEqualFold(key, "content-length"):
 			n := 0
 			if len(val) == 0 {
-				return "", false
+				return nil, false
 			}
 			for _, c := range val {
 				if c < '0' || c > '9' {
-					return "", false
+					return nil, false
 				}
 				n = n*10 + int(c-'0')
 			}
@@ -411,12 +420,12 @@ func HostFromBytes(data []byte) (string, bool) {
 		}
 	}
 	if contentLen >= 0 && len(body) < contentLen {
-		return "", false // ErrIncomplete in the full parser
+		return nil, false // ErrIncomplete in the full parser
 	}
 	if !hostSeen {
-		return "", false
+		return nil, false
 	}
-	return string(host), true
+	return host, true
 }
 
 // asciiEqualFold reports whether b case-insensitively equals the lowercase

@@ -35,10 +35,17 @@ type Host struct {
 
 // UDPService handles datagrams arriving on a UDP port. Return a non-nil
 // reply to answer the sender (a nil return means no response).
+//
+// payload is borrowed: it is a view into the delivered packet's buffer,
+// valid until the service returns, after which the network recycles it.
+// A service copies (or decodes into its own strings) whatever it keeps.
+// The reply is copied into its own packet before the request buffer is
+// recycled, so returning payload itself (an echo) is fine.
 type UDPService func(n *Network, from wire.Endpoint, payload []byte) []byte
 
 // TCPApp handles one request payload on an accepted TCP "connection" and
-// returns the response payload.
+// returns the response payload. payload is borrowed under the same rule as
+// UDPService's.
 type TCPApp func(n *Network, from wire.Endpoint, payload []byte) []byte
 
 // NewHost creates a host and registers it on the network.
@@ -94,8 +101,7 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 	from := wire.Endpoint{Addr: pkt.IP.Src, Port: pkt.UDP.SrcPort}
 	// Server side.
 	if svc, ok := h.udpServices[pkt.UDP.DstPort]; ok {
-		payload := append([]byte(nil), pkt.UDP.Payload()...)
-		if reply := svc(n, from, payload); reply != nil {
+		if reply := svc(n, from, pkt.UDP.Payload()); reply != nil {
 			h.sendUDPRaw(n, wire.Endpoint{Addr: h.Addr, Port: pkt.UDP.DstPort}, from, 64, reply)
 		}
 		return true
@@ -103,7 +109,8 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 	// Client side: a reply to an outstanding request? The waiter leaves
 	// the map now but returns to the pool only when its timeout event
 	// fires (see udpTimeout); the callbacks are dropped here so the event
-	// queue is not what keeps request closures alive.
+	// queue is not what keeps request closures alive. Unlike a service, the
+	// callback owns its payload: it gets a copy, free to keep.
 	if w, ok := h.udpWaiters[udpWaiterKey{dst: from, sport: pkt.UDP.DstPort}]; ok {
 		delete(h.udpWaiters, udpWaiterKey{dst: from, sport: pkt.UDP.DstPort})
 		cb := w.onReply
@@ -181,7 +188,8 @@ type UDPRequestOpts struct {
 	TTL     uint8         // initial IP TTL; 0 means 64
 	IPID    uint16        // 0 means auto-assign
 	Timeout time.Duration // 0 means 5s of virtual time
-	// OnReply receives the response payload (nil-safe).
+	// OnReply receives the response payload (nil-safe) as a copy the
+	// callback owns.
 	OnReply func(n *Network, payload []byte)
 	// OnTimeout fires if no reply arrived before Timeout (nil-safe).
 	OnTimeout func(n *Network)
@@ -203,11 +211,7 @@ func (h *Host) SendUDPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 	w.onReply, w.onTimeout = opts.OnReply, opts.OnTimeout
 	w.key = udpWaiterKey{dst: dst, sport: sport}
 	h.udpWaiters[w.key] = w
-	src := wire.Endpoint{Addr: h.Addr, Port: sport}
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(opts.IPID), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.SendUDP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), payload)
 	e := n.newEvent()
 	e.udpHost, e.udpW, e.udpGen = h, w, w.gen
 	n.scheduleEvent(timeout, e)
@@ -226,17 +230,11 @@ func (h *Host) sendUDPFrom(n *Network, src, dst wire.Endpoint, ttl uint8, ipID u
 	if ttl == 0 {
 		ttl = 64
 	}
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(ipID), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.SendUDP(src, dst, ttl, h.ipID(ipID), payload)
 }
 
 func (h *Host) sendUDPRaw(n *Network, src, dst wire.Endpoint, ttl uint8, payload []byte) {
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(0), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.SendUDP(src, dst, ttl, h.ipID(0), payload)
 }
 
 type tcpFlowKey struct {
@@ -265,7 +263,8 @@ type TCPRequestOpts struct {
 	TTL     uint8
 	IPID    uint16
 	Timeout time.Duration
-	// OnResponse receives the server's response payload.
+	// OnResponse receives the server's response payload as a copy the
+	// callback owns.
 	OnResponse func(n *Network, payload []byte)
 	// OnFail fires on handshake/response timeout.
 	OnFail func(n *Network)
@@ -297,11 +296,7 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 		isn:        uint32(sport)<<16 | 0x1234,
 	}
 	h.tcpFlows[key] = fl
-	src := wire.Endpoint{Addr: h.Addr, Port: sport}
-	raw, err := wire.BuildTCP(src, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.SendTCP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
 	n.Schedule(timeout, func() {
 		if cur, ok := h.tcpFlows[key]; ok && cur == fl && fl.state != flowClosed {
 			fl.state = flowClosed
@@ -319,10 +314,7 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 // handshakes with destinations before tracerouting").
 func (h *Host) SendRawTCPPayload(n *Network, dst wire.Endpoint, ttl uint8, ipID uint16, payload []byte) {
 	src := wire.Endpoint{Addr: h.Addr, Port: h.allocPort()}
-	raw, err := wire.BuildTCP(src, dst, ttl, h.ipID(ipID), wire.TCPPsh|wire.TCPAck, 1, 1, payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.SendTCP(src, dst, ttl, h.ipID(ipID), wire.TCPPsh|wire.TCPAck, 1, 1, payload)
 }
 
 func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
@@ -346,14 +338,8 @@ func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
 	case fl.state == flowSynSent && t.Flags&wire.TCPSyn != 0 && t.Flags&wire.TCPAck != 0:
 		fl.state = flowEstablished
 		// Final handshake ACK, then the request payload.
-		ack, err := wire.BuildTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPAck, fl.isn+1, t.Seq+1, nil)
-		if err == nil {
-			n.InjectOwned(ack)
-		}
-		data, err := wire.BuildTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPPsh|wire.TCPAck, fl.isn+1, t.Seq+1, fl.payload)
-		if err == nil {
-			n.InjectOwned(data)
-		}
+		n.SendTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPAck, fl.isn+1, t.Seq+1, nil)
+		n.SendTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPPsh|wire.TCPAck, fl.isn+1, t.Seq+1, fl.payload)
 		return true
 	case fl.state == flowSynSent && t.Flags&wire.TCPRst != 0:
 		fl.state = flowClosed
@@ -382,19 +368,13 @@ func (h *Host) serveTCP(n *Network, app TCPApp, from wire.Endpoint, t *wire.TCP)
 	switch {
 	case t.Flags&wire.TCPSyn != 0 && t.Flags&wire.TCPAck == 0:
 		sisn := uint32(t.SrcPort)<<16 | 0x5678
-		raw, err := wire.BuildTCP(local, from, 64, h.ipID(0), wire.TCPSyn|wire.TCPAck, sisn, t.Seq+1, nil)
-		if err == nil {
-			n.InjectOwned(raw)
-		}
+		n.SendTCP(local, from, 64, h.ipID(0), wire.TCPSyn|wire.TCPAck, sisn, t.Seq+1, nil)
 	case len(t.Payload()) > 0:
-		payload := append([]byte(nil), t.Payload()...)
-		resp := app(n, from, payload)
-		if resp == nil {
-			return
-		}
-		raw, err := wire.BuildTCP(local, from, 64, h.ipID(0), wire.TCPPsh|wire.TCPAck|wire.TCPFin, t.Ack, t.Seq+uint32(len(t.Payload())), resp)
-		if err == nil {
-			n.InjectOwned(raw)
+		// The app borrows the payload (see TCPApp); the reply is built
+		// into a fresh buffer while the request's is still in flight.
+		seq, ack := t.Ack, t.Seq+uint32(len(t.Payload()))
+		if resp := app(n, from, t.Payload()); resp != nil {
+			n.SendTCP(local, from, 64, h.ipID(0), wire.TCPPsh|wire.TCPAck|wire.TCPFin, seq, ack, resp)
 		}
 	}
 }

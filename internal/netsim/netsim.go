@@ -8,6 +8,15 @@
 // hop-by-hop traceroute needs. On-path devices attach to routers as Taps
 // and see the same bytes a DPI middlebox would.
 //
+// The network owns the bytes of every packet it carries. Packets a world
+// emits (Host sends, ICMP errors, SendUDP/SendTCP) are built into
+// fixed-capacity buffers from a per-Network free list, and a buffer goes
+// back to the list when its flight ends: delivered, expired (after the ICMP
+// quote is copied out), lost, or undeliverable. Everything that sees packet
+// bytes — taps, handlers, UDP services and TCP apps — therefore borrows
+// them for the duration of its callback only; client reply callbacks
+// receive their own copy.
+//
 // Time is virtual: a two-lane event queue (a FIFO for packet hops, a
 // min-heap for everything else) advances a simulated clock, so a two-month
 // measurement campaign with multi-day data-retention delays runs in
@@ -51,16 +60,19 @@ func (r *Router) AttachTap(t Tap) { r.taps = append(r.taps, t) }
 func (r *Router) Taps() []Tap { return append([]Tap(nil), r.taps...) }
 
 // Tap is an on-path observer device: it inspects every packet arriving at
-// its router. Taps must not mutate the packet; they may call back into the
-// Network to schedule their own traffic (that is what a traffic-shadowing
-// exhibitor does).
+// its router. Taps must not mutate the packet, and its bytes are borrowed:
+// the network recycles the buffer once the packet's flight ends, so a tap
+// copies whatever it keeps. Taps may call back into the Network to
+// schedule their own traffic (that is what a traffic-shadowing exhibitor
+// does).
 type Tap interface {
 	Observe(net *Network, at *Router, pkt *wire.Packet)
 }
 
 // Handler terminates packets at a host address (resolver, web server,
 // honeypot, vantage point...). The packet's transport payload has already
-// been decoded by the network's parser.
+// been decoded by the network's parser. As for taps, the packet and its
+// bytes are borrowed until Handle returns.
 type Handler interface {
 	Handle(net *Network, pkt *wire.Packet)
 }
@@ -106,10 +118,10 @@ type Config struct {
 	// Telemetry receives the simulator's metrics and progress ticks. Nil
 	// creates a private set, so the hot path never nil-checks.
 	Telemetry *telemetry.Set
-	// Arena, when non-nil, seeds the event/flight pools and the event-queue
-	// lanes from a previous world's harvest (see Arena). Purely an
-	// allocation amortization: a world behaves identically with or without
-	// one.
+	// Arena, when non-nil, seeds the event/flight/packet-buffer pools and
+	// the event-queue lanes from a previous world's harvest (see Arena).
+	// Purely an allocation amortization: a world behaves identically with
+	// or without one.
 	Arena *Arena
 }
 
@@ -149,6 +161,10 @@ type Network struct {
 	// world per goroutine; pooling keeps the steady state allocation-free.
 	freeEvents  []*event
 	freeFlights []*flight
+	// freeBufs is the packet-buffer free list: empty slices of capacity
+	// packetBufCap. Only buffers taken from it return to it, so it never
+	// holds more than the world's peak number of packets in flight.
+	freeBufs [][]byte
 
 	maxEvents int64 // safety valve against runaway schedules; 0 = unlimited
 }
@@ -299,7 +315,8 @@ func (n *Network) releaseEvent(e *event) {
 }
 
 // newFlight takes a packet-flight from the pool and arms it at hop 0.
-func (n *Network) newFlight(pkt []byte, origin wire.Addr, path []*Router) *flight {
+// pooled records that pkt came from the packet-buffer free list.
+func (n *Network) newFlight(pkt []byte, pooled bool, origin wire.Addr, path []*Router) *flight {
 	var f *flight
 	if k := len(n.freeFlights); k > 0 {
 		f = n.freeFlights[k-1]
@@ -307,31 +324,68 @@ func (n *Network) newFlight(pkt []byte, origin wire.Addr, path []*Router) *fligh
 	} else {
 		f = &flight{}
 	}
-	f.pkt, f.origin, f.path, f.hop = pkt, origin, path, 0
+	f.pkt, f.pooled, f.origin, f.path, f.hop = pkt, pooled, origin, path, 0
 	return f
 }
 
-// releaseFlight drops a flight's buffer references and pools the struct.
-// The packet buffer itself is never reused: honeypot captures and decoded
-// payloads may alias it for the rest of the run.
+// releaseFlight ends a flight: its packet buffer goes back to the free
+// list when it came from there, and the struct is pooled. Nothing may
+// hold the packet's bytes past this point — every tap and handler has
+// returned, and an ICMP error has already copied its quote.
 func (n *Network) releaseFlight(f *flight) {
-	f.pkt, f.path = nil, nil
+	if f.pooled {
+		n.releaseBuf(f.pkt)
+	}
+	f.pkt, f.pooled, f.path = nil, false, nil
 	n.freeFlights = append(n.freeFlights, f)
 }
 
-// Arena carries a Network's recyclable scratch — the event and flight free
-// lists plus the drained backing arrays of both event-queue lanes (the hop
-// ring and the timer heap) — across Network lifetimes. A campaign worker
-// running many single-trial worlds in sequence attaches one arena to each
-// world in turn, so the event loop's steady-state pools and lanes are
-// grown once per worker instead of once per trial. Pooled objects are
-// fully re-initialized on acquisition and hold no references after
-// release, so reuse cannot leak state between worlds. An arena belongs to
-// one goroutine at a time; hand-off between worlds must be externally
-// ordered (the runner keeps one per worker).
+// packetBufCap is the capacity of a pooled packet buffer. It holds every
+// packet the simulated fleet sends but the largest HTTP pages; a packet
+// that does not fit is built into an exact-size buffer of its own, which
+// the collector reclaims as before.
+const packetBufCap = 512
+
+// packetBuf returns an empty buffer to build a size-byte packet into: a
+// recycled one from the free list (or a new one that will join the list),
+// or nil when the packet will not fit one. The network owns a non-nil
+// result; it goes back to the list when the packet's flight ends.
+func (n *Network) packetBuf(size int) []byte {
+	if size > packetBufCap {
+		return nil
+	}
+	if k := len(n.freeBufs); k > 0 {
+		b := n.freeBufs[k-1]
+		n.freeBufs[k-1] = nil
+		n.freeBufs = n.freeBufs[:k-1]
+		return b
+	}
+	return make([]byte, 0, packetBufCap)
+}
+
+// releaseBuf returns a buffer taken from packetBuf to the free list.
+func (n *Network) releaseBuf(b []byte) {
+	n.freeBufs = append(n.freeBufs, b[:0])
+}
+
+// Arena carries a Network's recyclable scratch — the event, flight and
+// packet-buffer free lists plus the drained backing arrays of both
+// event-queue lanes (the hop ring and the timer heap) — across Network
+// lifetimes. A campaign worker running many single-trial worlds in
+// sequence attaches one arena to each world in turn, so the event loop's
+// steady-state pools and lanes are grown once per worker instead of once
+// per trial. Pooled objects are fully re-initialized on acquisition and
+// hold no references after release, so reuse cannot leak state between
+// worlds. Packet buffers are overwritten from the start by every build,
+// and only a buffer whose flight has ended is ever on the list, so a world
+// sees none of a previous world's bytes unless something broke the
+// borrowing rule (see Tap) by keeping a view past its callback. An arena
+// belongs to one goroutine at a time; hand-off between worlds must be
+// externally ordered (the runner keeps one per worker).
 type Arena struct {
 	events  []*event
 	flights []*flight
+	bufs    [][]byte
 	hops    []queued
 	timers  timerHeap
 }
@@ -341,6 +395,7 @@ type Arena struct {
 func (a *Arena) attach(n *Network) {
 	n.freeEvents, a.events = a.events, nil
 	n.freeFlights, a.flights = a.flights, nil
+	n.freeBufs, a.bufs = a.bufs, nil
 	n.hops.buf, a.hops = a.hops, nil
 	n.timers, a.timers = a.timers, nil
 }
@@ -349,14 +404,16 @@ func (a *Arena) attach(n *Network) {
 // (every event dispatched, every flight landed). The Network must not be
 // run again afterwards. The lane backings move only when both lanes are
 // empty: undispatched events left behind by a truncated run stay with the
-// Network, lanes included — only the released free lists move — so
-// harvesting a truncated world is safe, just less fruitful.
+// Network, lanes and the buffers of packets still in flight included —
+// only the released free lists move — so harvesting a truncated world is
+// safe, just less fruitful.
 func (a *Arena) Harvest(n *Network) {
 	if a == nil || n == nil {
 		return
 	}
 	a.events, n.freeEvents = n.freeEvents, nil
 	a.flights, n.freeFlights = n.freeFlights, nil
+	a.bufs, n.freeBufs = n.freeBufs, nil
 	if n.Pending() == 0 {
 		a.hops, n.hops = n.hops.buf, hopRing{}
 		a.timers, n.timers = n.timers[:0], nil
@@ -371,17 +428,59 @@ func (a *Arena) Harvest(n *Network) {
 // sender learns nothing synchronously.
 func (n *Network) SendPacket(raw []byte) error {
 	// Copy: the caller may reuse its buffer, and routers mutate TTL.
-	return n.SendPacketOwned(append([]byte(nil), raw...))
+	buf := n.packetBuf(len(raw))
+	return n.send(append(buf, raw...), buf != nil)
 }
 
 // SendPacketOwned is SendPacket for buffers the caller hands over: the
-// network takes ownership of raw (routers mutate its TTL in place, and
-// captures may alias it for the rest of the run), so the caller must not
-// touch the buffer afterwards. Freshly built packets take this path to
-// skip SendPacket's defensive copy.
+// network takes ownership of raw (routers mutate its TTL in place), so the
+// caller must not touch the buffer afterwards. The buffer never joins the
+// network's free list — only buffers the network built do — so it is
+// simply dropped when its flight ends. Freshly built packets take this
+// path to skip SendPacket's defensive copy.
 func (n *Network) SendPacketOwned(raw []byte) error {
+	return n.send(raw, false)
+}
+
+// SendUDP builds an IPv4/UDP packet into a network-owned buffer and
+// injects it at its source. A packet that cannot be built (a payload past
+// the IPv4 size limit) is dropped, as an oversized send is on the wire.
+// payload is copied; the caller keeps it.
+func (n *Network) SendUDP(src, dst wire.Endpoint, ttl uint8, id uint16, payload []byte) {
+	buf := n.packetBuf(wire.IPv4HeaderLen + wire.UDPHeaderLen + len(payload))
+	raw, err := wire.AppendUDP(buf, src, dst, ttl, id, payload)
+	n.emit(buf, raw, err)
+}
+
+// SendTCP is SendUDP for one TCP segment.
+func (n *Network) SendTCP(src, dst wire.Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) {
+	buf := n.packetBuf(wire.IPv4HeaderLen + wire.TCPHeaderLen + len(payload))
+	raw, err := wire.AppendTCP(buf, src, dst, ttl, id, flags, seq, ack, payload)
+	n.emit(buf, raw, err)
+}
+
+// emit injects a packet built into buf (nil when the packet was too large
+// for a pooled buffer), or recycles buf when the build failed.
+func (n *Network) emit(buf, raw []byte, err error) {
+	if err != nil {
+		if buf != nil {
+			n.releaseBuf(buf)
+		}
+		return
+	}
+	if err := n.send(raw, buf != nil); err != nil {
+		panic(err) // a successful build always parses
+	}
+}
+
+// send injects raw, which the network now owns; pooled marks a buffer from
+// the free list, to be recycled when the packet's flight ends.
+func (n *Network) send(raw []byte, pooled bool) error {
 	var probe wire.IPv4
 	if err := probe.DecodeFromBytes(raw); err != nil {
+		if pooled {
+			n.releaseBuf(raw)
+		}
 		return fmt.Errorf("netsim: refusing to send unparseable packet: %w", err)
 	}
 	n.stats.PacketsSent++
@@ -397,10 +496,13 @@ func (n *Network) SendPacketOwned(raw []byte) error {
 			// would bypass every tap and the topology's own verdict.
 			n.stats.NoRoute++
 			n.m.noRoute.Inc()
+			if pooled {
+				n.releaseBuf(raw)
+			}
 			return nil
 		}
 	}
-	n.forward(n.newFlight(raw, src, path))
+	n.forward(n.newFlight(raw, pooled, src, path))
 	return nil
 }
 
@@ -431,6 +533,7 @@ func (n *Network) InjectOwned(raw []byte) {
 // steady state.
 type flight struct {
 	pkt    []byte
+	pooled bool // pkt came from the free list and returns there
 	origin wire.Addr
 	path   []*Router
 	hop    int // next hop index; len(path) means delivery
@@ -453,7 +556,7 @@ func (n *Network) stepFlight(f *flight) {
 		return
 	}
 	n.deliver(f.pkt)
-	n.releaseFlight(f)
+	n.releaseFlight(f) // every handler has returned: the bytes are free
 }
 
 func (n *Network) arriveAtRouter(f *flight) {
@@ -510,15 +613,20 @@ func (n *Network) tapCounter(r *Router) *telemetry.Counter {
 // hop index hop of its path.
 func (n *Network) sendTimeExceeded(r *Router, origin wire.Addr, expired []byte, hop int) {
 	// Build the message directly into its packet buffer: the quote aliases
-	// the expired packet only until BuildICMP copies it, so the intermediate
-	// copy wire.NewTimeExceeded would make is unnecessary here.
+	// the expired packet only until AppendICMP copies it (the caller
+	// recycles the expired buffer right after), so the intermediate copy
+	// wire.NewTimeExceeded would make is unnecessary here.
 	quote := expired
 	if len(quote) > wire.TimeExceededQuoteLen {
 		quote = quote[:wire.TimeExceededQuoteLen]
 	}
 	te := wire.ICMP{Type: wire.ICMPTimeExceeded}
-	raw, err := wire.BuildICMP(r.Addr, origin, 64, 0, &te, quote)
+	buf := n.packetBuf(wire.IPv4HeaderLen + wire.ICMPHeaderLen + len(quote))
+	raw, err := wire.AppendICMP(buf, r.Addr, origin, 64, 0, &te, quote)
 	if err != nil {
+		if buf != nil {
+			n.releaseBuf(buf)
+		}
 		return
 	}
 	n.stats.ICMPSent++
@@ -529,7 +637,7 @@ func (n *Network) sendTimeExceeded(r *Router, origin wire.Addr, expired []byte, 
 	// probe crossed hop+1 links to reach this router, and the error crosses
 	// as many on the way back. Per-TTL traceroute RTTs therefore increase
 	// with hop distance, as they do on the real Internet.
-	f := n.newFlight(raw, r.Addr, nil)
+	f := n.newFlight(raw, buf != nil, r.Addr, nil)
 	e := n.newEvent()
 	e.flight = f
 	n.scheduleEvent(time.Duration(hop+1)*n.hopLatency, e)

@@ -366,10 +366,10 @@ func TestNoRouteNotDeliveredHopFree(t *testing.T) {
 }
 
 func TestForwardPathAllocationFree(t *testing.T) {
-	// The event and flight pools keep the steady-state forward path nearly
-	// allocation-free: one alloc for the packet copy in SendPacket, nothing
-	// per hop. The warmed queue lanes never regrow; the bound leaves slack
-	// for runtime noise.
+	// The event, flight and packet-buffer pools keep the steady-state
+	// forward path allocation-free: SendPacket's defensive copy lands in a
+	// recycled buffer, and nothing allocates per hop. The warmed queue
+	// lanes never regrow; the bound leaves slack for runtime noise.
 	routers := []*Router{
 		{Name: "r1", Addr: wire.AddrFrom(10, 0, 0, 1)},
 		{Name: "r2", Addr: wire.AddrFrom(10, 0, 0, 2)},
@@ -389,8 +389,8 @@ func TestForwardPathAllocationFree(t *testing.T) {
 		n.Inject(raw)
 		n.RunUntilIdle()
 	})
-	if avg > 4 {
-		t.Errorf("forward path allocates %.1f allocs/send, want <= 4", avg)
+	if avg > 1 {
+		t.Errorf("forward path allocates %.1f allocs/send, want <= 1", avg)
 	}
 }
 

@@ -318,6 +318,17 @@ func TestArenaRoundTrip(t *testing.T) {
 		return out
 	}
 	noop := func() {}
+	// reqrep runs a burst of request/reply exchanges through Hosts, whose
+	// packets are built into the network's own pooled buffers.
+	reqrep := func(n *Network) {
+		client := NewHost(n, diffSrc)
+		server := NewHost(n, diffDst)
+		server.ServeUDP(53, func(n *Network, from wire.Endpoint, req []byte) []byte { return req })
+		for i := 0; i < burst; i++ {
+			client.SendUDPRequest(n, wire.Endpoint{Addr: diffDst, Port: 53}, []byte("query"), UDPRequestOpts{})
+		}
+		n.RunUntilIdle()
+	}
 	load := func(n *Network, pkts [][]byte) {
 		for _, raw := range pkts {
 			n.InjectOwned(raw)
@@ -329,12 +340,30 @@ func TestArenaRoundTrip(t *testing.T) {
 
 	arena := &Arena{}
 	first := newWorld(arena)
-	load(first, packets())
+	external := packets()
+	load(first, external)
 	first.RunUntilIdle()
+	reqrep(first)
 	arena.Harvest(first)
 	if len(arena.hops) == 0 || cap(arena.timers) == 0 {
 		t.Fatalf("harvest of a drained world took hop backing %d, timer backing %d; want both",
 			len(arena.hops), cap(arena.timers))
+	}
+	// The request/reply burst filled the buffer list; the externally built
+	// packets, handed over with InjectOwned, never entered it.
+	pooled := len(arena.bufs)
+	if pooled == 0 {
+		t.Fatal("harvest of a drained world took no packet buffers")
+	}
+	for _, b := range arena.bufs {
+		if cap(b) != packetBufCap {
+			t.Fatalf("arena holds a buffer of cap %d, want %d", cap(b), packetBufCap)
+		}
+		for _, raw := range external {
+			if &b[:1][0] == &raw[0] {
+				t.Fatal("an externally built packet entered the buffer pool")
+			}
+		}
 	}
 
 	// The second world's forward path is allocation-free from its first
@@ -346,6 +375,13 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 	// A world without an arena does allocate for the same burst, or the
 	// check above proves nothing.
+	// Its request/reply burst builds every packet into a harvested buffer:
+	// the list ends the burst exactly as long as it arrived.
+	reqrep(second)
+	if len(second.freeBufs) != pooled {
+		t.Errorf("second world's buffer list = %d after the burst, want the %d it was handed (no new buffer)",
+			len(second.freeBufs), pooled)
+	}
 	cold := newWorld(nil)
 	pkts = packets()
 	if got := mallocs(func() { load(cold, pkts); cold.RunUntilIdle() }); got == 0 {

@@ -88,10 +88,6 @@ func (p *ObliviousProxy) handle(n *netsim.Network, from wire.Endpoint, payload [
 
 // pushToClient sends the relayed response on the client's original flow.
 func (p *ObliviousProxy) pushToClient(n *netsim.Network, client wire.Endpoint, body []byte) {
-	pkt, err := wire.BuildTCP(wire.Endpoint{Addr: p.Addr, Port: 443}, client, 64, 0,
+	n.SendTCP(wire.Endpoint{Addr: p.Addr, Port: 443}, client, 64, 0,
 		wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, body)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(pkt)
 }

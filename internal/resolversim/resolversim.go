@@ -157,6 +157,18 @@ type Service struct {
 	//
 	//shadowlint:eventloop
 	upq dnswire.Message
+	// upr is upstream-reply decode scratch, under the same contract: an
+	// OnReply callback decodes into it, clones the answers it caches, and
+	// finishes its client reply before returning.
+	//
+	//shadowlint:eventloop
+	upr dnswire.Message
+	// resp is client-response scratch: every response is built, encoded
+	// through enc and copied into its packet (or HTTP envelope) before the
+	// handler that built it returns.
+	//
+	//shadowlint:eventloop
+	resp dnswire.Message
 }
 
 // ServiceStats counts resolver activity.
@@ -217,12 +229,7 @@ func (s *Service) handleDoHQuery(n *netsim.Network, from wire.Endpoint, payload 
 	s.mu.Unlock()
 	inst := s.instanceFor(from.Addr)
 	if inst == nil {
-		resp := dnswire.NewResponse(q, dnswire.RcodeServFail)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.response(q, dnswire.RcodeServFail, nil)
 	}
 	if inst.Exhibitor != nil {
 		if qo, ok := inst.Exhibitor.(QueryObserver); ok {
@@ -236,13 +243,7 @@ func (s *Service) handleDoHQuery(n *netsim.Network, from wire.Endpoint, payload 
 		s.mu.Lock()
 		s.stats.CacheHits++
 		s.mu.Unlock()
-		resp := dnswire.NewResponse(q, entry.rcode)
-		resp.Answers = append(resp.Answers, entry.answers...)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.response(q, entry.rcode, entry.answers)
 	}
 	s.recurseDoH(n, inst, q, from)
 	return nil
@@ -273,17 +274,10 @@ func (s *Service) recurseDoH(n *netsim.Network, inst *Instance, q *dnswire.Messa
 	egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, upPayload, netsim.UDPRequestOpts{
 		Timeout: 3 * time.Second,
 		OnReply: func(n *netsim.Network, resp []byte) {
-			msg, err := dnswire.Decode(resp)
-			if err != nil {
+			msg, ok := s.cacheReply(n, inst, q, resp)
+			if !ok {
 				s.pushDoH(n, client, q, dnswire.RcodeServFail, nil)
 				return
-			}
-			ttl := time.Hour
-			if len(msg.Answers) > 0 {
-				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
-			}
-			inst.cache[cacheKey{q.QName(), q.QType()}] = cacheEntry{
-				answers: msg.Answers, rcode: msg.Header.Rcode, expires: n.Now().Add(ttl),
 			}
 			s.pushDoH(n, client, q, msg.Header.Rcode, msg.Answers)
 		},
@@ -293,22 +287,49 @@ func (s *Service) recurseDoH(n *netsim.Network, inst *Instance, q *dnswire.Messa
 	})
 }
 
-// pushDoH sends the HTTP-wrapped DNS answer as a TCP data packet from the
-// resolver's 443 back to the DoH client.
-func (s *Service) pushDoH(n *netsim.Network, client wire.Endpoint, q *dnswire.Message, rcode uint8, answers []dnswire.RR) {
-	resp := dnswire.NewResponse(q, rcode)
+// cacheReply decodes an upstream reply into the upr scratch and caches
+// its answers (a clone: the scratch is reused) for q's name and type. The
+// returned message is valid until the next upstream reply is decoded.
+func (s *Service) cacheReply(n *netsim.Network, inst *Instance, q *dnswire.Message, resp []byte) (*dnswire.Message, bool) {
+	msg := &s.upr
+	if err := dnswire.DecodeInto(msg, resp); err != nil {
+		return nil, false
+	}
+	ttl := time.Hour
+	if len(msg.Answers) > 0 {
+		ttl = time.Duration(msg.Answers[0].TTL) * time.Second
+	}
+	inst.cache[cacheKey{q.QName(), q.QType()}] = cacheEntry{
+		answers: append([]dnswire.RR(nil), msg.Answers...), rcode: msg.Header.Rcode,
+		expires: n.Now().Add(ttl),
+	}
+	return msg, true
+}
+
+// response encodes the response to q with rcode and answers, built in the
+// resp scratch. The result aliases enc's buffer: it is valid until the
+// next encode, so callers copy it into a packet (or envelope) at once. A
+// nil result means the message could not be encoded.
+func (s *Service) response(q *dnswire.Message, rcode uint8, answers []dnswire.RR) []byte {
+	resp := &s.resp
+	dnswire.ResponseInto(resp, q, rcode)
 	resp.Answers = append(resp.Answers, answers...)
 	raw, err := resp.AppendEncode(&s.enc)
 	if err != nil {
+		return nil
+	}
+	return raw
+}
+
+// pushDoH sends the HTTP-wrapped DNS answer as a TCP data packet from the
+// resolver's 443 back to the DoH client.
+func (s *Service) pushDoH(n *netsim.Network, client wire.Endpoint, q *dnswire.Message, rcode uint8, answers []dnswire.RR) {
+	raw := s.response(q, rcode, answers)
+	if raw == nil {
 		return
 	}
-	body := dohResponse(raw)
-	pkt, err := wire.BuildTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
-		wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, body)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(pkt)
+	n.SendTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
+		wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, dohResponse(raw))
 }
 
 // dohResponse wraps a DNS message in the RFC 8484 HTTP envelope.
@@ -372,12 +393,7 @@ func (s *Service) handleQuery(n *netsim.Network, from wire.Endpoint, payload []b
 
 	inst := s.instanceFor(from.Addr)
 	if inst == nil {
-		resp := dnswire.NewResponse(q, dnswire.RcodeServFail)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.response(q, dnswire.RcodeServFail, nil)
 	}
 
 	// Destination-side shadowing: the instance records the query name
@@ -395,13 +411,7 @@ func (s *Service) handleQuery(n *netsim.Network, from wire.Endpoint, payload []b
 		s.mu.Lock()
 		s.stats.CacheHits++
 		s.mu.Unlock()
-		resp := dnswire.NewResponse(q, entry.rcode)
-		resp.Answers = append(resp.Answers, entry.answers...)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.response(q, entry.rcode, entry.answers)
 	}
 
 	// Recurse asynchronously: reply to the client when the authoritative
@@ -436,18 +446,10 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 		Timeout: 3 * time.Second,
 		OnReply: func(n *netsim.Network, resp []byte) {
 			answered = true
-			msg, err := dnswire.Decode(resp)
-			if err != nil {
+			msg, ok := s.cacheReply(n, inst, q, resp)
+			if !ok {
 				s.replyToClient(n, client, q, dnswire.RcodeServFail, nil)
 				return
-			}
-			ttl := time.Hour
-			if len(msg.Answers) > 0 {
-				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
-			}
-			inst.cache[cacheKey{q.QName(), q.QType()}] = cacheEntry{
-				answers: msg.Answers, rcode: msg.Header.Rcode,
-				expires: n.Now().Add(ttl),
 			}
 			s.replyToClient(n, client, q, msg.Header.Rcode, msg.Answers)
 		},
@@ -491,17 +493,11 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 }
 
 func (s *Service) replyToClient(n *netsim.Network, client wire.Endpoint, q *dnswire.Message, rcode uint8, answers []dnswire.RR) {
-	resp := dnswire.NewResponse(q, rcode)
-	resp.Answers = append(resp.Answers, answers...)
-	raw, err := resp.AppendEncode(&s.enc)
-	if err != nil {
+	raw := s.response(q, rcode, answers)
+	if raw == nil {
 		return
 	}
-	pkt, err := wire.BuildUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(pkt)
+	n.SendUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
 }
 
 // ReferralServer is a root or TLD authoritative server: it answers every
@@ -515,10 +511,15 @@ type ReferralServer struct {
 	mu      sync.Mutex
 	queries int64
 
-	// enc is reply-encode scratch; see Service.enc for why this is safe.
+	// enc, dec and resp are query-decode and reply scratch; see Service.enc
+	// for why this is safe. Nothing decoded from a query outlives handle.
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
+	//shadowlint:eventloop
+	dec dnswire.Message
+	//shadowlint:eventloop
+	resp dnswire.Message
 }
 
 // NewReferralServer registers a referral server on addr.
@@ -537,14 +538,15 @@ func (rs *ReferralServer) Queries() int64 {
 }
 
 func (rs *ReferralServer) handle(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-	q, err := dnswire.Decode(payload)
-	if err != nil || q.Header.QR || len(q.Questions) == 0 {
+	q := &rs.dec
+	if err := dnswire.DecodeInto(q, payload); err != nil || q.Header.QR || len(q.Questions) == 0 {
 		return nil
 	}
 	rs.mu.Lock()
 	rs.queries++
 	rs.mu.Unlock()
-	resp := dnswire.NewResponse(q, dnswire.RcodeNoError)
+	resp := &rs.resp
+	dnswire.ResponseInto(resp, q, dnswire.RcodeNoError)
 	resp.Header.AA = false
 	// Refer one level down from our zone toward the query name.
 	child := referralChild(q.QName(), rs.Zone)

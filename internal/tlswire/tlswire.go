@@ -215,117 +215,131 @@ func ParseClientHello(data []byte) (*ClientHello, error) {
 }
 
 func parseSNI(val []byte) (string, error) {
+	name, err := parseSNIBytes(val)
+	return string(name), err
+}
+
+// parseSNIBytes is parseSNI returning the host name as a view into val.
+func parseSNIBytes(val []byte) ([]byte, error) {
 	r := reader{buf: val}
 	listLen, ok := r.u16()
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	list, ok := r.bytes(int(listLen))
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	lr := reader{buf: list}
 	for lr.len() > 0 {
 		typ, ok1 := lr.u8()
 		nameLen, ok2 := lr.u16()
 		if !ok1 || !ok2 {
-			return "", ErrMalformed
+			return nil, ErrMalformed
 		}
 		name, ok := lr.bytes(int(nameLen))
 		if !ok {
-			return "", ErrTruncated
+			return nil, ErrTruncated
 		}
 		if typ == sniHostName {
-			return string(name), nil
+			return name, nil
 		}
 	}
-	return "", ErrNoSNI
+	return nil, ErrNoSNI
 }
 
-// SNIFromBytes extracts just the server name from a serialized ClientHello,
-// the single-field fast path used by observer taps: it walks the same
-// framing ParseClientHello validates but skips past the fields it does not
-// need, so the only allocation is the returned name.
+// SNIFromBytes extracts just the server name from a serialized ClientHello:
+// it walks the same framing ParseClientHello validates but skips past the
+// fields it does not need, so the only allocation is the returned name.
 func SNIFromBytes(data []byte) (string, error) {
+	name, err := SNIBytes(data)
+	return string(name), err
+}
+
+// SNIBytes is SNIFromBytes returning the server name as a view into data
+// instead of a string: the observer-tap fast path, which canonicalizes
+// and interns the name without allocating for a name it has seen before.
+// The view is valid as long as data is.
+func SNIBytes(data []byte) ([]byte, error) {
 	if len(data) < 5 {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	if data[0] != RecordHandshake {
-		return "", ErrNotHandshake
+		return nil, ErrNotHandshake
 	}
 	recLen := int(binary.BigEndian.Uint16(data[3:5]))
 	if len(data) < 5+recLen {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	hs := data[5 : 5+recLen]
 	if len(hs) < 4 || hs[0] != HandshakeClient {
-		return "", ErrNotHandshake
+		return nil, ErrNotHandshake
 	}
 	bodyLen := u24(hs[1:4])
 	if len(hs) < 4+bodyLen {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	r := reader{buf: hs[4 : 4+bodyLen]}
 	if _, ok := r.u16(); !ok { // legacy_version
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	if _, ok := r.bytes(32); !ok { // random
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	sidLen, ok := r.u8()
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	if _, ok := r.bytes(int(sidLen)); !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	csLen, ok := r.u16()
 	if !ok || csLen%2 != 0 {
-		return "", ErrMalformed
+		return nil, ErrMalformed
 	}
 	if _, ok := r.bytes(int(csLen)); !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	compLen, ok := r.u8()
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	if _, ok = r.bytes(int(compLen)); !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	if r.len() == 0 {
-		return "", ErrNoSNI // no extensions
+		return nil, ErrNoSNI // no extensions
 	}
 	extLen, ok := r.u16()
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	exts, ok := r.bytes(int(extLen))
 	if !ok {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	er := reader{buf: exts}
-	name := ""
+	var name []byte
 	for er.len() > 0 {
 		typ, ok1 := er.u16()
 		l, ok2 := er.u16()
 		if !ok1 || !ok2 {
-			return "", ErrMalformed
+			return nil, ErrMalformed
 		}
 		val, ok := er.bytes(int(l))
 		if !ok {
-			return "", ErrTruncated
+			return nil, ErrTruncated
 		}
 		if typ == extServerName {
-			n, err := parseSNI(val)
+			n, err := parseSNIBytes(val)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			name = n
 		}
 	}
-	if name == "" {
-		return "", ErrNoSNI
+	if len(name) == 0 {
+		return nil, ErrNoSNI
 	}
 	return name, nil
 }

@@ -120,12 +120,13 @@ func deploySite(n *netsim.Network, site *Site) {
 	host := netsim.NewHost(n, site.Addr)
 	body := fmt.Sprintf("<html><body>%s (rank %d)</body></html>", site.Domain, site.Rank)
 	host.ServeTCP(80, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-		if _, err := httpwire.ParseRequest(payload); err != nil {
+		req, err := httpwire.ParseRequest(payload)
+		if err != nil {
 			return httpwire.NewResponse(400, "bad request").Encode()
 		}
 		// Top sites answer regardless of Host header (the decoy's Host
 		// mismatches the front-end on purpose, see Section 3 footnote 1).
-		if req, err := httpwire.ParseRequest(payload); err == nil && site.OnHost != nil {
+		if site.OnHost != nil {
 			site.OnHost(n, req.Host(), from.Addr)
 		}
 		return httpwire.NewResponse(200, body).Encode()

@@ -108,45 +108,78 @@ func (pkt *Packet) TransportPayload() []byte {
 	return nil
 }
 
-// BuildUDP serializes a complete IPv4/UDP packet in a single allocation:
-// the transport layer serializes in place behind the header slot, so the
-// payload is copied exactly once.
+// BuildUDP serializes a complete IPv4/UDP packet into a fresh buffer: it
+// is AppendUDP(nil, ...).
 func BuildUDP(src, dst Endpoint, ttl uint8, id uint16, payload []byte) ([]byte, error) {
-	udp := UDP{SrcPort: src.Port, DstPort: dst.Port}
-	buf := make([]byte, IPv4HeaderLen+UDPHeaderLen+len(payload))
-	if _, err := udp.SerializeTo(buf[IPv4HeaderLen:], src.Addr, dst.Addr, payload); err != nil {
-		return nil, err
-	}
-	ip := IPv4{TTL: ttl, Protocol: ProtoUDP, ID: id, Src: src.Addr, Dst: dst.Addr, Flags: FlagDF}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return AppendUDP(nil, src, dst, ttl, id, payload)
 }
 
-// BuildTCP serializes a complete IPv4/TCP packet in a single allocation.
+// BuildTCP serializes a complete IPv4/TCP packet into a fresh buffer: it
+// is AppendTCP(nil, ...).
 func BuildTCP(src, dst Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
-	tcp := TCP{SrcPort: src.Port, DstPort: dst.Port, Seq: seq, Ack: ack, Flags: flags, Window: 65535}
-	buf := make([]byte, IPv4HeaderLen+TCPHeaderLen+len(payload))
-	if _, err := tcp.SerializeTo(buf[IPv4HeaderLen:], src.Addr, dst.Addr, payload); err != nil {
-		return nil, err
+	return AppendTCP(nil, src, dst, ttl, id, flags, seq, ack, payload)
+}
+
+// BuildICMP serializes a complete IPv4/ICMP packet into a fresh buffer: it
+// is AppendICMP(nil, ...).
+func BuildICMP(src, dst Addr, ttl uint8, id uint16, msg *ICMP, msgPayload []byte) ([]byte, error) {
+	return AppendICMP(nil, src, dst, ttl, id, msg, msgPayload)
+}
+
+// AppendUDP serializes a complete IPv4/UDP packet onto dst and returns the
+// extended slice. The transport layer serializes in place behind the
+// header slot, so the payload is copied exactly once, and a dst with
+// enough spare capacity (a recycled packet buffer) makes the build
+// allocation-free. payload must not overlap dst's spare capacity.
+func AppendUDP(dst []byte, src, to Endpoint, ttl uint8, id uint16, payload []byte) ([]byte, error) {
+	udp := UDP{SrcPort: src.Port, DstPort: to.Port}
+	buf, pkt := grow(dst, IPv4HeaderLen+UDPHeaderLen+len(payload))
+	if _, err := udp.SerializeTo(pkt[IPv4HeaderLen:], src.Addr, to.Addr, payload); err != nil {
+		return dst, err
 	}
-	ip := IPv4{TTL: ttl, Protocol: ProtoTCP, ID: id, Src: src.Addr, Dst: dst.Addr, Flags: FlagDF}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
-		return nil, err
+	ip := IPv4{TTL: ttl, Protocol: ProtoUDP, ID: id, Src: src.Addr, Dst: to.Addr, Flags: FlagDF}
+	if err := ip.SerializeHeader(pkt, len(pkt)-IPv4HeaderLen); err != nil {
+		return dst, err
 	}
 	return buf, nil
 }
 
-// BuildICMP serializes a complete IPv4/ICMP packet in a single allocation.
-func BuildICMP(src, dst Addr, ttl uint8, id uint16, msg *ICMP, msgPayload []byte) ([]byte, error) {
-	buf := make([]byte, IPv4HeaderLen+ICMPHeaderLen+len(msgPayload))
-	if _, err := msg.SerializeTo(buf[IPv4HeaderLen:], msgPayload); err != nil {
-		return nil, err
+// AppendTCP is AppendUDP for an IPv4/TCP segment.
+func AppendTCP(dst []byte, src, to Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
+	tcp := TCP{SrcPort: src.Port, DstPort: to.Port, Seq: seq, Ack: ack, Flags: flags, Window: 65535}
+	buf, pkt := grow(dst, IPv4HeaderLen+TCPHeaderLen+len(payload))
+	if _, err := tcp.SerializeTo(pkt[IPv4HeaderLen:], src.Addr, to.Addr, payload); err != nil {
+		return dst, err
 	}
-	ip := IPv4{TTL: ttl, Protocol: ProtoICMP, ID: id, Src: src, Dst: dst}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
-		return nil, err
+	ip := IPv4{TTL: ttl, Protocol: ProtoTCP, ID: id, Src: src.Addr, Dst: to.Addr, Flags: FlagDF}
+	if err := ip.SerializeHeader(pkt, len(pkt)-IPv4HeaderLen); err != nil {
+		return dst, err
 	}
 	return buf, nil
+}
+
+// AppendICMP is AppendUDP for an IPv4/ICMP message.
+func AppendICMP(dst []byte, src, to Addr, ttl uint8, id uint16, msg *ICMP, msgPayload []byte) ([]byte, error) {
+	buf, pkt := grow(dst, IPv4HeaderLen+ICMPHeaderLen+len(msgPayload))
+	if _, err := msg.SerializeTo(pkt[IPv4HeaderLen:], msgPayload); err != nil {
+		return dst, err
+	}
+	ip := IPv4{TTL: ttl, Protocol: ProtoICMP, ID: id, Src: src, Dst: to}
+	if err := ip.SerializeHeader(pkt, len(pkt)-IPv4HeaderLen); err != nil {
+		return dst, err
+	}
+	return buf, nil
+}
+
+// grow extends dst by n bytes, reallocating only when its spare capacity
+// is short, and returns the extended slice plus its new n-byte tail.
+func grow(dst []byte, n int) (buf, tail []byte) {
+	k := len(dst)
+	if cap(dst)-k < n {
+		buf = make([]byte, k+n)
+		copy(buf, dst)
+	} else {
+		buf = dst[:k+n]
+	}
+	return buf, buf[k:]
 }

@@ -358,3 +358,52 @@ func BenchmarkDecrementTTL(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendMatchesBuild: each Append* writes exactly the Build* bytes after
+// whatever dst already holds, in place when dst has the room, into a new
+// array when it does not, and leaves dst as it was on error.
+func TestAppendMatchesBuild(t *testing.T) {
+	src := Endpoint{MustParseAddr("100.64.0.1"), 40000}
+	dst := Endpoint{MustParseAddr("192.0.2.1"), 53}
+	payload := []byte("appended payload")
+	te := ICMP{Type: ICMPTimeExceeded}
+	builds := []struct {
+		name   string
+		build  func() ([]byte, error)
+		append func([]byte) ([]byte, error)
+	}{
+		{"udp", func() ([]byte, error) { return BuildUDP(src, dst, 9, 3, payload) },
+			func(b []byte) ([]byte, error) { return AppendUDP(b, src, dst, 9, 3, payload) }},
+		{"tcp", func() ([]byte, error) { return BuildTCP(src, dst, 9, 3, TCPPsh|TCPAck, 5, 6, payload) },
+			func(b []byte) ([]byte, error) { return AppendTCP(b, src, dst, 9, 3, TCPPsh|TCPAck, 5, 6, payload) }},
+		{"icmp", func() ([]byte, error) { return BuildICMP(src.Addr, dst.Addr, 9, 3, &te, payload) },
+			func(b []byte) ([]byte, error) { return AppendICMP(b, src.Addr, dst.Addr, 9, 3, &te, payload) }},
+	}
+	for _, b := range builds {
+		want, err := b.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		roomy := append(make([]byte, 0, 256), "prefix"...)
+		got, err := b.append(roomy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+			t.Errorf("%s: Append onto a prefix = %x, want prefix then %x", b.name, got, want)
+		}
+		if &got[0] != &roomy[0] {
+			t.Errorf("%s: Append reallocated a buffer with room to spare", b.name)
+		}
+		tight := []byte("prefix")
+		got, err = b.append(tight[:6:6])
+		if err != nil || !bytes.Equal(got[6:], want) || &got[0] == &tight[0] {
+			t.Errorf("%s: Append onto a full buffer = %x, %v; want a new array ending in %x", b.name, got, err, want)
+		}
+	}
+	huge := make([]byte, 0x10000)
+	pre := []byte("prefix")
+	if got, err := AppendUDP(pre, src, dst, 9, 3, huge); err == nil || string(got) != "prefix" {
+		t.Errorf("oversized AppendUDP = %d bytes, %v; want dst unchanged and an error", len(got), err)
+	}
+}
